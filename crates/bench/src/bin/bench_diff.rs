@@ -6,11 +6,15 @@
 //!
 //! Rows are matched by their stable identity fields; every compared
 //! metric present on both sides is checked (see `bench::regression`).
-//! The exit code is 0 by default — CI machines vary too much to gate on
-//! wall-clock throughput — but regressions are printed loudly so a
-//! slowdown is visible in the log the moment it lands. `--strict` turns
-//! regressions beyond the factor into exit 1, for local gating runs
-//! (pre-release sweeps on a quiet box); CI stays warn-only.
+//! It prints how many rows matched, and how many exist only in the
+//! baseline or only in the fresh run: rows present on one side are
+//! not compared. The exit code is 0 by default — CI machines vary too
+//! much to gate on wall-clock throughput — but regressions are printed
+//! loudly so a slowdown is visible in the log the moment it lands.
+//! `--strict` turns regressions beyond the factor into exit 1, and so
+//! does a diff in which no row matched (it compared nothing), for local
+//! gating runs and the weekly bench-history lane; per-PR CI stays
+//! warn-only.
 //!
 //! CI: after an experiment rewrites its JSON in place, diff against the
 //! previously-committed copy:
@@ -21,7 +25,7 @@
 //! cargo run --release -p bench --bin bench_diff -- /tmp/baseline.json BENCH_sketch.json
 //! ```
 
-use bench::regression::{diff, parse_bench_json};
+use bench::regression::{diff, match_rows, parse_bench_json, strict_verdict};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -58,24 +62,49 @@ fn main() {
     let fresh = read(&args[2]);
     if baseline.bench != fresh.bench {
         eprintln!(
-            "bench_diff: comparing different benches ({} vs {}) — nothing to do",
+            "bench_diff: comparing different benches ({} vs {}) — nothing to compare",
             baseline.bench, fresh.bench
         );
+        if strict {
+            std::process::exit(1);
+        }
         return;
     }
 
     let regressions = diff(&baseline, &fresh, factor);
+    let rows = match_rows(&baseline, &fresh);
     println!(
         "bench_diff: {} ({} baseline rows, {} fresh rows, factor {factor}x)",
         fresh.bench,
         baseline.results.len(),
         fresh.results.len()
     );
-    if regressions.is_empty() {
-        println!("bench_diff: no regressions beyond {factor}x");
-        return;
+    println!(
+        "bench_diff: rows matched {}, baseline-only {}, fresh-only {}",
+        rows.matched, rows.baseline_only, rows.fresh_only
+    );
+    print_regressions(&regressions);
+    if strict {
+        if let Err(why) = strict_verdict(rows, &regressions) {
+            println!("bench_diff: {why} — failing (--strict)");
+            std::process::exit(1);
+        }
     }
-    for r in &regressions {
+    if rows.matched == 0 {
+        println!("bench_diff: WARNING: no row matched — this diff compared nothing");
+    } else if regressions.is_empty() {
+        println!("bench_diff: no regressions beyond {factor}x");
+    } else {
+        println!(
+            "bench_diff: {} regression(s) beyond {factor}x — investigate before trusting \
+             the committed numbers (exit 0: wall-clock noise is not a CI failure)",
+            regressions.len()
+        );
+    }
+}
+
+fn print_regressions(regressions: &[bench::regression::Regression]) {
+    for r in regressions {
         let verb = match r.kind {
             bench::regression::MetricKind::Throughput => "slowed down",
             bench::regression::MetricKind::Memory => "grew",
@@ -89,16 +118,4 @@ fn main() {
             r.fresh
         );
     }
-    if strict {
-        println!(
-            "bench_diff: {} regression(s) beyond {factor}x — failing (--strict)",
-            regressions.len()
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "bench_diff: {} regression(s) beyond {factor}x — investigate before trusting \
-         the committed numbers (exit 0: wall-clock noise is not a CI failure)",
-        regressions.len()
-    );
 }

@@ -24,9 +24,11 @@
 //!   jitter.
 //!
 //! The `bench_diff` binary wraps this as a CI step that *warns* (CI
-//! machines vary too much to gate on wall-clock throughput).
+//! machines vary too much to gate on wall-clock throughput), and
+//! reports how many rows matched, so a diff that compared nothing is
+//! visible — and fails under `--strict`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A scalar cell of a result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,7 +156,7 @@ impl Regression {
 /// both versions of a row that got more than `factor` times worse —
 /// throughput below `baseline / factor`, memory above
 /// `baseline × factor` — is reported. Rows present on only one side are
-/// ignored (configs come and go).
+/// skipped (configs come and go); [`match_rows`] counts them.
 pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Vec<Regression> {
     assert!(factor >= 1.0, "a regression factor below 1 is meaningless");
     let mut by_id: BTreeMap<String, &Row> = BTreeMap::new();
@@ -190,6 +192,54 @@ pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Vec<Regress
         }
     }
     out
+}
+
+/// How the rows of a baseline and a fresh run pair up by identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowMatch {
+    /// Fresh rows with a baseline row of the same identity.
+    pub matched: usize,
+    /// Baseline rows no fresh row matches.
+    pub baseline_only: usize,
+    /// Fresh rows with no baseline row.
+    pub fresh_only: usize,
+}
+
+/// Count matched and one-sided rows — what [`diff`] compared and what
+/// it skipped.
+pub fn match_rows(baseline: &BenchFile, fresh: &BenchFile) -> RowMatch {
+    let base_ids: BTreeSet<String> = baseline.results.iter().map(identity).collect();
+    let fresh_ids: BTreeSet<String> = fresh.results.iter().map(identity).collect();
+    let matched = fresh
+        .results
+        .iter()
+        .filter(|r| base_ids.contains(&identity(r)))
+        .count();
+    RowMatch {
+        matched,
+        baseline_only: baseline
+            .results
+            .iter()
+            .filter(|r| !fresh_ids.contains(&identity(r)))
+            .count(),
+        fresh_only: fresh.results.len() - matched,
+    }
+}
+
+/// The `--strict` verdict: fail on any regression beyond the factor,
+/// and when no row matched at all — a diff that compared nothing must
+/// not pass.
+pub fn strict_verdict(rows: RowMatch, regressions: &[Regression]) -> Result<(), String> {
+    if rows.matched == 0 {
+        return Err("no fresh row matches a baseline row: nothing was compared".into());
+    }
+    if !regressions.is_empty() {
+        return Err(format!(
+            "{} regression(s) beyond the factor",
+            regressions.len()
+        ));
+    }
+    Ok(())
 }
 
 /// Parse a `BENCH_*.json` file (the flat shape our binaries write).
@@ -465,6 +515,38 @@ mod tests {
         );
         let _ = new;
         assert!(regs.is_empty(), "different n: different identity");
+    }
+
+    #[test]
+    fn strict_fails_when_no_row_matches() {
+        let old = parse_bench_json(OLD).unwrap();
+        let fresh = parse_bench_json(&OLD.replace("\"n\": ", "\"procs\": ")).unwrap();
+        let rows = match_rows(&old, &fresh);
+        assert_eq!(
+            rows,
+            RowMatch {
+                matched: 0,
+                baseline_only: 2,
+                fresh_only: 2
+            }
+        );
+        let regs = diff(&old, &fresh, 2.0);
+        assert!(regs.is_empty(), "nothing compared, nothing regressed");
+        let err = strict_verdict(rows, &regs).expect_err("a diff over nothing must fail");
+        assert!(err.contains("nothing was compared"), "{err}");
+
+        // One row renamed: the other still matches, and strict passes.
+        let fresh = parse_bench_json(&OLD.replace("\"n\": 8", "\"n\": 16")).unwrap();
+        let rows = match_rows(&old, &fresh);
+        assert_eq!(
+            rows,
+            RowMatch {
+                matched: 1,
+                baseline_only: 1,
+                fresh_only: 1
+            }
+        );
+        assert_eq!(strict_verdict(rows, &diff(&old, &fresh, 2.0)), Ok(()));
     }
 
     #[test]

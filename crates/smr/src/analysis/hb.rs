@@ -23,28 +23,34 @@
 //! don't forbid them).
 //!
 //! Clocks are FastTrack-style: one epoch `(pid, clock)` per access, full
-//! (sparse) vector clocks only where joins demand them. Three properties
-//! keep the pass viable on 10⁵-process coop runs:
+//! vector clocks only where joins demand them. Three properties keep
+//! the pass viable on 10⁵-process coop runs:
 //!
 //! * **epoch-guarded joins** — a process absorbs a write's clock only if
 //!   the write's epoch is outside its causal past. Components circulate
 //!   solely through publishes and later publishes carry supersets, so
 //!   "heard the writer's component at ≥ the write's epoch" already
 //!   implies the whole snapshot is absorbed; the common ordered case is
-//!   one `HashMap` probe.
+//!   one clock lookup.
 //! * **O(1) publishes** — a write stores the write's epoch plus an `Arc`
 //!   alias of the writer's accumulated clock; nothing is cloned until
 //!   the writer next *learns* something (copy-on-write).
-//! * **sparse vectors** — memory stays proportional to communication,
-//!   not to `n`.
+//! * **adaptive vector clocks** (`Vc`) — a clock that has heard of
+//!   few processes is a pid-sorted list of pairs, so memory stays
+//!   proportional to communication, not to `n`; once it covers at
+//!   least half the pids up to its largest, it becomes a pid-indexed
+//!   array, no larger than the pairs, and a join is an element-wise
+//!   `max` the compiler vectorises.
 //!
-//! The cost floor is the workload's *communication density*: a process
-//! that reads an object pays for exactly the components it has not heard
-//! about yet. Cluster-local workloads stay O(1) amortized per event at
-//! any `n`; a single globally-shared object (kmult's `switch` bits)
-//! legitimately densifies every causal past to all `n` processes, and no
-//! encoding beats Θ(new information) per join — see EXP-ANALYSIS for
-//! both regimes measured.
+//! The cost is set by the workload's *communication density*: a process
+//! that reads an object pays only when it has not heard of the write
+//! yet. Cluster-local workloads keep small sparse clocks and stay O(1)
+//! amortized per event at any `n`. A single globally-shared object
+//! (kmult's `switch` bits, Algorithm 2's shared registers) densifies
+//! every causal past to all `n` processes; each join is then Θ(n) word
+//! maxima, linear but at memory speed rather than one hash probe per
+//! component. EXP-ANALYSIS measures both regimes (kmult at `n = 3000`:
+//! 222× pass overhead with hash-map clocks, 13× with dense arrays).
 //!
 //! ## Ticket cross-audit
 //!
@@ -63,26 +69,176 @@ use crate::trace::{Access, AccessKind, TraceEvent};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A sparse vector clock: missing entries are zero. Shared with the
+/// A vector clock: missing entries are zero. Shared with the
 /// explorer's DPOR engine (`crate::explore`), which uses the same
 /// clocks over replayed decision sequences to decide which dependent
 /// step pairs are concurrent (reversible races) rather than ordered.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Vc(HashMap<usize, u64>);
+///
+/// The representation adapts to density. A clock that has heard of few
+/// processes is *sparse*: pid-sorted `(pid, clock)` pairs holding only
+/// nonzero components, so memory follows communication, not `n`. It
+/// turns *dense* — a pid-indexed array — once `2 · entries ≥ max_pid +
+/// 1`, the point where the array is no larger than the pairs; a dense
+/// join is then an element-wise `max` with no lookups. A dense clock
+/// always keeps `len ≤ 2 · nonzero`, and falls back to pairs if a far
+/// pid or a zeroed component would break that.
+#[derive(Debug, Clone)]
+pub(crate) enum Vc {
+    /// Pid-sorted pairs with nonzero clocks; `2 · len < max_pid + 1`.
+    Sparse(Vec<(usize, u64)>),
+    /// Clocks indexed by pid; `len ≤ 2 · nonzero`.
+    Dense(Vec<u64>),
+}
+
+impl Default for Vc {
+    fn default() -> Self {
+        Vc::Sparse(Vec::new())
+    }
+}
 
 impl Vc {
     pub(crate) fn get(&self, pid: usize) -> u64 {
-        self.0.get(&pid).copied().unwrap_or(0)
+        match self {
+            Vc::Sparse(v) => v
+                .binary_search_by_key(&pid, |&(p, _)| p)
+                .map_or(0, |i| v[i].1),
+            Vc::Dense(v) => v.get(pid).copied().unwrap_or(0),
+        }
     }
 
     pub(crate) fn set(&mut self, pid: usize, clock: u64) {
-        self.0.insert(pid, clock);
+        match self {
+            Vc::Sparse(v) => match v.binary_search_by_key(&pid, |&(p, _)| p) {
+                Ok(i) if clock == 0 => {
+                    v.remove(i);
+                }
+                Ok(i) => v[i].1 = clock,
+                Err(_) if clock == 0 => return,
+                Err(i) => v.insert(i, (pid, clock)),
+            },
+            Vc::Dense(v) if pid < v.len() => {
+                v[pid] = clock;
+                if clock != 0 {
+                    return;
+                }
+            }
+            Vc::Dense(_) if clock == 0 => return,
+            Vc::Dense(v) => {
+                v.resize(pid + 1, 0);
+                v[pid] = clock;
+            }
+        }
+        self.settle();
     }
 
     pub(crate) fn join(&mut self, other: &Vc) {
-        for (&pid, &clock) in &other.0 {
-            let e = self.0.entry(pid).or_insert(0);
-            *e = (*e).max(clock);
+        let recount = match (&mut *self, other) {
+            (Vc::Dense(a), Vc::Dense(b)) => {
+                // Joins only raise components, and the result is as
+                // long as the longer input, which already kept the
+                // density rule: no recount.
+                if a.len() < b.len() {
+                    a.resize(b.len(), 0);
+                }
+                for (x, &y) in a.iter_mut().zip(b) {
+                    *x = (*x).max(y);
+                }
+                false
+            }
+            (Vc::Dense(a), Vc::Sparse(b)) => raise(a, b),
+            (Vc::Sparse(a), Vc::Dense(b)) => {
+                let mut d = b.clone();
+                let grew = raise(&mut d, a);
+                *self = Vc::Dense(d);
+                grew
+            }
+            (Vc::Sparse(a), Vc::Sparse(b)) => {
+                merge(a, b);
+                true
+            }
+        };
+        if recount {
+            self.settle();
+        }
+    }
+
+    /// Restore the representation rule after a change that may have
+    /// broken it.
+    fn settle(&mut self) {
+        if let Vc::Dense(v) = self {
+            let live = v.iter().filter(|&&c| c != 0).count();
+            if 2 * live >= v.len() {
+                return;
+            }
+            let pairs = v
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c != 0)
+                .map(|(p, &c)| (p, c))
+                .collect();
+            *self = Vc::Sparse(pairs);
+        }
+        if let Vc::Sparse(v) = self {
+            if let Some(&(max_pid, _)) = v.last() {
+                if 2 * v.len() > max_pid {
+                    let mut d = vec![0; max_pid + 1];
+                    for &(p, c) in v.iter() {
+                        d[p] = c;
+                    }
+                    *self = Vc::Dense(d);
+                }
+            }
+        }
+    }
+}
+
+/// Raise the dense clock `d` by the pairs `s`, growing it to cover
+/// `s`'s largest pid. Returns whether it grew: only then can the
+/// density rule have broken.
+fn raise(d: &mut Vec<u64>, s: &[(usize, u64)]) -> bool {
+    let need = s.last().map_or(0, |&(p, _)| p + 1);
+    let grew = need > d.len();
+    if grew {
+        d.resize(need, 0);
+    }
+    for &(p, c) in s {
+        d[p] = d[p].max(c);
+    }
+    grew
+}
+
+/// Sparse join: raise the shared components in place, then merge `b`'s
+/// new pids in from the back, so an already-heard clock costs no
+/// allocation.
+fn merge(a: &mut Vec<(usize, u64)>, b: &[(usize, u64)]) {
+    let mut fresh = 0;
+    let mut i = 0;
+    for &(p, c) in b {
+        while i < a.len() && a[i].0 < p {
+            i += 1;
+        }
+        match a.get_mut(i) {
+            Some(e) if e.0 == p => e.1 = e.1.max(c),
+            _ => fresh += 1,
+        }
+    }
+    if fresh == 0 {
+        return;
+    }
+    let (mut i, mut j) = (a.len(), b.len());
+    a.resize(i + fresh, (0, 0));
+    let mut k = a.len();
+    while j > 0 {
+        k -= 1;
+        if i > 0 && a[i - 1].0 >= b[j - 1].0 {
+            if a[i - 1].0 == b[j - 1].0 {
+                j -= 1; // raised in place above
+            }
+            i -= 1;
+            a[k] = a[i];
+        } else {
+            j -= 1;
+            a[k] = b[j];
         }
     }
 }
@@ -441,6 +597,166 @@ impl AnalysisPass for HappensBefore {
 mod tests {
     use super::*;
     use crate::history::OpKind;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The clock semantics every representation must keep: a plain map,
+    /// missing entries zero, `set` overwrites, `join` takes maxima.
+    #[derive(Default)]
+    struct RefVc(HashMap<usize, u64>);
+
+    impl RefVc {
+        fn join(&mut self, other: &RefVc) {
+            for (&pid, &clock) in &other.0 {
+                let e = self.0.entry(pid).or_insert(0);
+                *e = (*e).max(clock);
+            }
+        }
+
+        fn live(&self) -> usize {
+            self.0.values().filter(|&&c| c != 0).count()
+        }
+    }
+
+    /// Pids the checks probe: every pid the generated operations touch.
+    const PROBE: std::ops::Range<usize> = 0..240;
+
+    /// `vc` agrees with `r` on every probed pid and keeps its
+    /// representation rule.
+    fn check(vc: &Vc, r: &RefVc) {
+        for pid in PROBE {
+            assert_eq!(
+                vc.get(pid),
+                r.0.get(&pid).copied().unwrap_or(0),
+                "pid {pid}"
+            );
+        }
+        match vc {
+            Vc::Sparse(v) => {
+                assert!(v.windows(2).all(|w| w[0].0 < w[1].0), "unsorted {v:?}");
+                assert!(v.iter().all(|&(_, c)| c != 0), "zero entry {v:?}");
+                if let Some(&(max_pid, _)) = v.last() {
+                    assert!(2 * v.len() < max_pid + 1, "should be dense: {v:?}");
+                }
+            }
+            // Checked after every operation, so in particular on the one
+            // that switched the clock: a dense clock is never longer than
+            // twice its entry count.
+            Vc::Dense(v) => {
+                assert!(
+                    v.len() <= 2 * r.live(),
+                    "len {} > 2 · {}",
+                    v.len(),
+                    r.live()
+                );
+            }
+        }
+    }
+
+    /// Apply one generated operation to the clocks and the references.
+    fn apply(clocks: &mut [Vc], refs: &mut [RefVc], op: (u8, usize, usize, usize, u64)) {
+        let (kind, a, b, pid, value) = op;
+        match kind {
+            0 => {
+                clocks[a].set(pid, value);
+                refs[a].0.insert(pid, value);
+            }
+            1 => {
+                // A contiguous run of components: builds dense clocks.
+                for p in pid..pid + 12 {
+                    clocks[a].set(p, value + 1);
+                    refs[a].0.insert(p, value + 1);
+                }
+            }
+            _ => {
+                let src = clocks[b].clone();
+                clocks[a].join(&src);
+                let src = RefVc(refs[b].0.clone());
+                refs[a].join(&src);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The adaptive clock ≡ the hash-map reference over random
+        /// `set`/`join` sequences: pid gaps (a far cluster at 200..),
+        /// zeroed components, runs that push clocks across the switch
+        /// threshold and back, and joins between every pairing of
+        /// representations.
+        #[test]
+        fn vc_matches_a_hash_map_reference(
+            ops in prop::collection::vec(
+                (0u8..4, 0usize..4, 0usize..4, prop_oneof![0usize..24, 200usize..216], 0u64..6),
+                1..80,
+            ),
+        ) {
+            let mut clocks = vec![Vc::default(); 4];
+            let mut refs: Vec<RefVc> = (0..4).map(|_| RefVc::default()).collect();
+            for op in ops {
+                apply(&mut clocks, &mut refs, op);
+                for (vc, r) in clocks.iter().zip(&refs) {
+                    check(vc, r);
+                }
+            }
+        }
+    }
+
+    fn sparse(pids: &[usize]) -> (Vc, RefVc) {
+        let mut vc = Vc::default();
+        let mut r = RefVc::default();
+        for (i, &p) in pids.iter().enumerate() {
+            vc.set(p, 10 + i as u64);
+            r.0.insert(p, 10 + i as u64);
+        }
+        (vc, r)
+    }
+
+    #[test]
+    fn every_join_pairing_matches_the_reference() {
+        let is_dense = |vc: &Vc| matches!(vc, Vc::Dense(_));
+        let cases: [(&[usize], &[usize], bool, bool); 5] = [
+            (&[3, 90], &[1, 50, 90], false, false),
+            (&[3, 90], &[0, 1, 2, 3, 4], false, true),
+            (&[0, 1, 2, 3], &[2, 70], true, false),
+            (&[0, 1, 2], &[0, 1, 2, 3, 4, 5, 6], true, true),
+            // Sparse ⊔ sparse whose union crosses the threshold.
+            (&[0, 4, 8], &[2, 6, 10], false, false),
+        ];
+        for (x, y, x_dense, y_dense) in cases {
+            let (mut a, mut ra) = sparse(x);
+            let (b, rb) = sparse(y);
+            assert_eq!(
+                (is_dense(&a), is_dense(&b)),
+                (x_dense, y_dense),
+                "{x:?} {y:?}"
+            );
+            a.join(&b);
+            ra.join(&rb);
+            check(&a, &ra);
+        }
+        let (mut a, _) = sparse(&[0, 4, 8]);
+        a.join(&sparse(&[2, 6, 10]).0);
+        assert!(is_dense(&a), "the union is dense: {a:?}");
+    }
+
+    #[test]
+    fn a_far_pid_turns_a_dense_clock_sparse() {
+        let (mut a, mut r) = sparse(&[0, 1, 2, 3]);
+        assert!(matches!(a, Vc::Dense(_)));
+        a.set(1_000, 7);
+        r.0.insert(1_000, 7);
+        assert!(matches!(a, Vc::Sparse(_)), "{a:?}");
+        check(&a, &r);
+        // And zeroing a dense clock's components sheds the array.
+        let (mut a, mut r) = sparse(&[0, 1, 2, 3, 4, 5]);
+        for p in 0..4 {
+            a.set(p, 0);
+            r.0.insert(p, 0);
+        }
+        check(&a, &r);
+    }
 
     fn meta_coop() -> RunMeta {
         RunMeta {

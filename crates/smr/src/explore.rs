@@ -60,7 +60,7 @@
 //! preemption budget is set), the explorer runs **dynamic partial-order
 //! reduction** in the style of Flanagan–Godefroid, with sleep sets: as
 //! each interleaving executes, every step is stamped with a vector
-//! clock (the same sparse clocks as `smr::analysis::hb`) joining the
+//! clock (the same adaptive clocks as `smr::analysis::hb`) joining the
 //! clocks of its happens-before predecessors — its process's previous
 //! step plus every earlier *dependent* step not already ordered before
 //! it. A dependent-but-concurrent pair is a race: its reversal may be a

@@ -7,13 +7,17 @@
 
 use counter::{CollectCounter, CollectIncTask, CollectReadTask, Counter};
 use parking_lot::Mutex;
-use smr::analysis::Analyzer;
+use smr::analysis::{AnalysisPass, Analyzer, HappensBefore, RunMeta};
 use smr::explore::{explore, ExploreConfig};
 use smr::sched::{RoundRobin, SeededRandom};
-use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use smr::{AccessKind, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TraceEvent};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
+use approx_objects::{
+    KmultBoundedMaxRegister, KmultCounter, KmultIncTask, KmultMaxReadTask, KmultMaxWriteTask,
+    KmultReadTask, SharedKmultHandle,
+};
 
 #[test]
 fn standard_passes_run_clean_on_a_coop_kmult_workload() {
@@ -254,4 +258,88 @@ fn explorer_passes_clean_programs_with_an_analyzer_attached() {
     let stats = explore(&ExploreConfig::exhaustive(100), factory, |_h| Ok(()));
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
     assert!(stats.interleavings > 1);
+}
+
+/// The happens-before pass's output on a dense run, pinned. In a gated
+/// Algorithm 2 run every process reads registers every other process
+/// writes, so each causal past fills up to all `n` processes — the
+/// regime where the pass's vector clocks are dense. The trace is
+/// recorded once, then replayed into a standalone pass; object
+/// addresses are renamed to first-touch indices so the racy pairs
+/// repeat across runs. The expected values were captured from the
+/// hash-map clock this pass used before its clocks became adaptive, so
+/// any change of clock representation must reproduce them exactly.
+#[test]
+fn happens_before_output_is_pinned_on_a_dense_kmult_maxreg_run() {
+    let n = 64;
+    let m = 1u64 << 20;
+    let rt = Runtime::coop(n);
+    rt.attach_analysis(Analyzer::standard());
+    rt.enable_tracing();
+    let reg = Arc::new(KmultBoundedMaxRegister::new(n, m, 2));
+    let mut d = Driver::coop(rt.clone());
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for pid in 0..n {
+        for _ in 0..8 {
+            // xorshift64: a fixed, dependency-free op mix.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(2) {
+                let v = 1 + (x >> 1) % (m - 1);
+                d.submit_task(
+                    pid,
+                    OpSpec::write(v),
+                    KmultMaxWriteTask::new(reg.clone(), v),
+                );
+            } else {
+                d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(reg.clone()));
+            }
+        }
+    }
+    d.run_schedule(&mut SeededRandom::new(2024));
+    let mut trace = rt.take_trace();
+    drop(d);
+    let inline = rt.analysis().unwrap().finish();
+    assert!(inline.is_empty(), "clean workload flagged: {inline:?}");
+
+    let mut ids: HashMap<usize, usize> = HashMap::new();
+    for ev in &mut trace {
+        if let TraceEvent::Access(a) = ev {
+            let next = ids.len();
+            a.obj = *ids.entry(a.obj).or_insert(next);
+        }
+    }
+    let mut hb = HappensBefore::new();
+    hb.on_attach(&RunMeta {
+        n,
+        gated: true,
+        coop: true,
+    });
+    for ev in &trace {
+        hb.on_event(ev);
+    }
+    // FNV-1a over the retained pairs, in order.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for p in hb.racy_pairs() {
+        for w in [
+            p.first_seq,
+            p.second_seq,
+            p.obj as u64,
+            p.kinds.0 as u64,
+            p.kinds.1 as u64,
+        ] {
+            digest = (digest ^ w).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!(trace.len(), 5034);
+    assert_eq!(hb.racy_total(), 2908);
+    assert_eq!(hb.racy_pairs().len(), 64);
+    let p = hb.racy_pairs()[0];
+    assert_eq!(
+        (p.first_seq, p.second_seq, p.obj, p.kinds),
+        (69, 79, 1, (AccessKind::Write, AccessKind::Read))
+    );
+    assert_eq!(digest, 0x208f_68dc_3401_6a66);
+    assert!(hb.finish().is_empty());
 }
