@@ -12,8 +12,9 @@
 //! much to gate on wall-clock throughput — but regressions are printed
 //! loudly so a slowdown is visible in the log the moment it lands.
 //! `--strict` turns regressions beyond the factor into exit 1, and so
-//! does a diff in which no row matched (it compared nothing), for local
-//! gating runs and the weekly bench-history lane; per-PR CI stays
+//! does a diff in which no row matched (it compared nothing) or a fresh
+//! row with no baseline (the committed file predates the grid), for
+//! local gating runs and the weekly bench-history lane; per-PR CI stays
 //! warn-only.
 //!
 //! CI: after an experiment rewrites its JSON in place, diff against the

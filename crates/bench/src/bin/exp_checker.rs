@@ -1,26 +1,23 @@
-//! EXP-CHECKER — throughput of the linearizability checkers on
+//! EXP-CHECKER — throughput of the linearizability checker on
 //! synthetic large counter histories, in two modes:
 //!
-//! * **offline** — the post-hoc `O(R log R + I log I)` sweep engine vs
-//!   the retained `O(R² log I)` pairwise reference;
+//! * **offline** — the retained `O(R² log I)` pairwise `naive` oracle
+//!   over a complete history (small sizes only);
 //! * **online** — the streaming [`lincheck::OnlineChecker`] consuming
 //!   the same history as a pre-sorted record stream, one push per
 //!   announcement/completion, with retained state bounded by the
 //!   history's maximum concurrency rather than its length.
 //!
 //! The north star is checking **million-op histories** as they are
-//! produced; this experiment tracks both the asymptotic win that makes
-//! post-hoc checking feasible and the streaming overhead + footprint
-//! that make *inline* checking feasible. Histories are synthesized from
-//! a valid execution (every read returns its forced-before count, which
-//! always linearizes), with heavily overlapping windows, pending
-//! operations and multi-unit increment batches, so the sweep's monotone
-//! stack and the online checker's watermark retirement both do real
-//! work. On each size where several engines run, their verdicts are
+//! produced; this experiment tracks the streaming engine's throughput
+//! and footprint, and the asymptotic gap to the quadratic oracle.
+//! Histories are synthesized from a valid execution (every read returns
+//! its forced-before count, which always linearizes), with heavily
+//! overlapping windows, pending operations and multi-unit increment
+//! batches, so the monotone stack and the watermark retirement both do
+//! real work. On each size where the oracle runs, the two verdicts are
 //! cross-checked; the online engine's peak retained state is asserted
-//! against the history's measured concurrency, and at the 10⁶-record
-//! config its throughput is asserted to be at least the offline
-//! sweep's.
+//! against the history's measured concurrency.
 //!
 //! Results land in `BENCH_checker.json` (cwd) for regression tracking.
 //! Each row carries a `mode` field (`offline` / `online`) that joins
@@ -34,8 +31,8 @@
 
 use bench::emit::{mode_str, Report, Row};
 use bench::tables::{f2, Table};
-use lincheck::monotone::{check_counter, prefix_sums, weighted_lt};
-use lincheck::{naive, CounterHistory, Interval, OnlineChecker, TimedInc, TimedRead};
+use lincheck::naive::{self, prefix_sums, weighted_lt};
+use lincheck::{CounterHistory, Interval, OnlineChecker, TimedInc, TimedRead};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smr::{OpKind, OpRecord};
@@ -44,8 +41,8 @@ use std::time::Instant;
 /// Synthesize a linearizable counter history of `n_incs` increment
 /// records and `n_reads` reads with overlapping windows. Reads return
 /// their forced-before weight `A_r` — always a valid assignment (the
-/// greedy's own lower bound), so the sweep runs to completion over the
-/// whole history instead of bailing at the first read.
+/// greedy's own lower bound), so the checkers run to completion over
+/// the whole history instead of bailing at the first read.
 fn synth_history(n_incs: usize, n_reads: usize, seed: u64) -> CounterHistory {
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon = 2 * (n_incs + n_reads) as u64 + 2;
@@ -64,8 +61,8 @@ fn synth_history(n_incs: usize, n_reads: usize, seed: u64) -> CounterHistory {
         });
     }
     // Forced-before table: completed increments by response, using the
-    // checker's own weighted-count primitives so the generator can never
-    // drift from the engine's boundary semantics.
+    // oracle's own weighted-count primitives so the generator can never
+    // drift from its boundary semantics.
     let mut by_resp: Vec<(u64, u64)> = incs
         .iter()
         .filter_map(|i| i.window.resp.map(|r| (r, i.amount)))
@@ -156,17 +153,14 @@ struct Sample {
     peak_retained: Option<usize>,
 }
 
-fn time_engine<F: Fn(&CounterHistory) -> bool>(
-    engine: &'static str,
-    h: &CounterHistory,
-    f: F,
-) -> Sample {
+/// Time the quadratic `naive` oracle over the whole history.
+fn time_naive(h: &CounterHistory) -> Sample {
     let start = Instant::now();
-    let verdict = f(h);
+    let verdict = naive::check_counter(h, 1).is_ok();
     let millis = start.elapsed().as_secs_f64() * 1e3;
     Sample {
         mode: "offline",
-        engine,
+        engine: "naive",
         total_ops: h.incs.len() + h.reads.len(),
         millis,
         verdict,
@@ -238,41 +232,23 @@ fn main() {
         // 2/3 increments, 1/3 reads — roughly the stress-test mix.
         let h = synth_history(total * 2 / 3, total - total * 2 / 3, 0xC0DE + idx as u64);
 
-        let sweep = time_engine("sweep", &h, |h| check_counter(h, 1).is_ok());
-        assert!(sweep.verdict, "synthetic history must linearize");
-        let sweep_millis = sweep.millis;
-        samples.push(sweep);
-
-        if with_naive {
-            let reference = time_engine("naive", &h, |h| naive::check_counter(h, 1).is_ok());
-            let s = samples.last().unwrap();
-            assert_eq!(
-                s.verdict, reference.verdict,
-                "engines disagree on a {total}-record history"
-            );
-            samples.push(reference);
-        }
-
         let online = time_online(&h);
         assert!(
             online.verdict,
             "online checker rejected a linearizable {total}-record history"
         );
-        if total >= 1_000_000 {
-            // The acceptance bar for inline checking: at serving scale
-            // the stream must not check slower than the post-hoc sweep.
-            assert!(
-                online.millis <= sweep_millis,
-                "online checking ({:.1}ms) slower than the offline sweep \
-                 ({sweep_millis:.1}ms) at {total} records",
-                online.millis
+        if with_naive {
+            let reference = time_naive(&h);
+            assert_eq!(
+                online.verdict, reference.verdict,
+                "engines disagree on a {total}-record history"
             );
+            samples.push(reference);
         }
         samples.push(online);
     }
 
     println!("EXP-CHECKER — monotone checker throughput on synthetic histories");
-    println!("offline/sweep  = O(R log R + I log I) post-hoc engine;");
     println!("offline/naive  = retained O(R² log I) pairwise reference (small sizes only);");
     println!("online/online  = streaming checker, watermark-bounded retained state.");
     for s in &samples {

@@ -5,7 +5,7 @@
 //! turns them into finite checks by enumerating interleavings of small
 //! configurations and feeding each history cut to the `lincheck`
 //! monotone checkers. This experiment measures that harness across its
-//! reduction algorithms and pins its correctness on every run:
+//! reduction modes and pins its correctness on every run:
 //!
 //! * **count assertions** — for programs with schedule-independent
 //!   per-process step counts, exhaustively enumerated interleavings must
@@ -13,9 +13,8 @@
 //! * **zero violations** — every real-object configuration must pass
 //!   its checker on every cut (the bin exits non-zero otherwise);
 //! * **throughput** — interleavings/second under exhaustive DFS,
-//!   adjacent-swap pruning (`dfs-prune`), dynamic partial-order
-//!   reduction (`dpor`), and the parallel frontier-replay pool
-//!   (`dpor-parallel:N`), plus crash injection.
+//!   dynamic partial-order reduction (`dpor`), and the parallel
+//!   frontier-replay pool (`dpor-parallel:N`), plus crash injection.
 //!
 //! The `algo` column is part of each row's identity for
 //! `bench::regression` diffs; a `dpor` row counts *Mazurkiewicz trace
@@ -38,7 +37,7 @@ use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::{check_counter_records, check_maxreg_records};
 use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
 use parking_lot::Mutex;
-use smr::explore::{explore, explore_parallel, ExploreAlgo, ExploreConfig};
+use smr::explore::{explore, explore_parallel, ExploreConfig};
 use smr::{CoopBackend, Driver, History, OpSpec, Runtime};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +47,7 @@ type Checker = Box<dyn Fn(&History) -> Result<(), String> + Sync>;
 
 /// How a configuration is driven through the explorer.
 enum Run {
-    /// `smr::explore` on the calling thread (all sequential algorithms).
+    /// `smr::explore` on the calling thread (raw DFS or DPOR).
     Seq,
     /// `smr::explore_parallel` with the given worker count.
     Par(usize),
@@ -71,10 +70,7 @@ impl Config {
         match self.run {
             Run::Par(n) => format!("dpor-parallel:{n}"),
             Run::Seq if !self.cfg.prune => "dfs".to_string(),
-            Run::Seq => match self.cfg.algo {
-                ExploreAlgo::Dfs => "dfs-prune".to_string(),
-                ExploreAlgo::Dpor => "dpor".to_string(),
-            },
+            Run::Seq => "dpor".to_string(),
         }
     }
 }
@@ -234,25 +230,12 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let workers = parallel_workers(&args);
 
-    let dfs_prune = ExploreConfig {
-        algo: ExploreAlgo::Dfs,
-        ..ExploreConfig::default()
-    };
-
     let mut configs = vec![
         Config {
             name: "collect-3x2-exhaustive",
             cfg: ExploreConfig::exhaustive(100),
             run: Run::Seq,
             expected: Some(multinomial(&[4, 4, 4])),
-            factory: collect_incs(),
-            checker: counter_checker(1),
-        },
-        Config {
-            name: "collect-3x2-pruned",
-            cfg: dfs_prune.clone(),
-            run: Run::Seq,
-            expected: None,
             factory: collect_incs(),
             checker: counter_checker(1),
         },

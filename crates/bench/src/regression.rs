@@ -26,7 +26,8 @@
 //! The `bench_diff` binary wraps this as a CI step that *warns* (CI
 //! machines vary too much to gate on wall-clock throughput), and
 //! reports how many rows matched, so a diff that compared nothing is
-//! visible — and fails under `--strict`.
+//! visible — and fails under `--strict`, as does a fresh row with no
+//! baseline to compare it against.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -227,11 +228,19 @@ pub fn match_rows(baseline: &BenchFile, fresh: &BenchFile) -> RowMatch {
 }
 
 /// The `--strict` verdict: fail on any regression beyond the factor,
-/// and when no row matched at all — a diff that compared nothing must
-/// not pass.
+/// when no row matched at all — a diff that compared nothing must not
+/// pass — and when a fresh row has no baseline (a schema or grid change
+/// the committed file was not regenerated for). Baseline-only rows
+/// pass: a smaller grid compares a subset.
 pub fn strict_verdict(rows: RowMatch, regressions: &[Regression]) -> Result<(), String> {
     if rows.matched == 0 {
         return Err("no fresh row matches a baseline row: nothing was compared".into());
+    }
+    if rows.fresh_only > 0 {
+        return Err(format!(
+            "{} fresh row(s) have no baseline row: recommit the baseline",
+            rows.fresh_only
+        ));
     }
     if !regressions.is_empty() {
         return Err(format!(
@@ -535,7 +544,8 @@ mod tests {
         let err = strict_verdict(rows, &regs).expect_err("a diff over nothing must fail");
         assert!(err.contains("nothing was compared"), "{err}");
 
-        // One row renamed: the other still matches, and strict passes.
+        // One row renamed: the other still matches, but the renamed
+        // fresh row has no baseline, so strict fails on it.
         let fresh = parse_bench_json(&OLD.replace("\"n\": 8", "\"n\": 16")).unwrap();
         let rows = match_rows(&old, &fresh);
         assert_eq!(
@@ -546,7 +556,38 @@ mod tests {
                 fresh_only: 1
             }
         );
-        assert_eq!(strict_verdict(rows, &diff(&old, &fresh, 2.0)), Ok(()));
+        assert!(strict_verdict(rows, &diff(&old, &fresh, 2.0)).is_err());
+    }
+
+    #[test]
+    fn strict_fails_on_fresh_rows_without_a_baseline() {
+        let old = parse_bench_json(OLD).unwrap();
+        // A fresh run with an extra row no baseline covers.
+        let extra = r#"{"object": "topk", "backend": "coop", "n": 64, "shards": 4, "adds_per_sec": 1000000, "millis": 12.5, "violations": 0, "peak_rss_bytes": 100000000},
+    {"object": "topk", "backend": "thread""#;
+        let fresh =
+            parse_bench_json(&OLD.replacen(r#"{"object": "topk", "backend": "thread""#, extra, 1))
+                .unwrap();
+        let rows = match_rows(&old, &fresh);
+        assert_eq!(
+            rows,
+            RowMatch {
+                matched: 2,
+                baseline_only: 0,
+                fresh_only: 1
+            }
+        );
+        let regs = diff(&old, &fresh, 2.0);
+        assert!(regs.is_empty());
+        let err = strict_verdict(rows, &regs).expect_err("an uncovered fresh row must fail");
+        assert!(err.contains("1 fresh row(s) have no baseline"), "{err}");
+
+        // The converse stays allowed: a smaller fresh grid (a baseline
+        // row with no fresh counterpart) compares a subset and passes.
+        let rows = match_rows(&fresh, &old);
+        assert_eq!(rows.baseline_only, 1);
+        assert_eq!(rows.fresh_only, 0);
+        assert_eq!(strict_verdict(rows, &diff(&fresh, &old, 2.0)), Ok(()));
     }
 
     #[test]
@@ -567,13 +608,13 @@ mod tests {
         let text = r#"{
   "bench": "schedule_exploration",
   "results": [
-    {"config": "collect-3x2", "algo": "dfs-prune", "prune": true, "max_crashes": 0, "interleavings": 131, "millis": 1.9, "interleavings_per_sec": 69216, "violations": 0},
+    {"config": "collect-3x2", "algo": "dfs", "prune": false, "max_crashes": 0, "interleavings": 131, "millis": 1.9, "interleavings_per_sec": 69216, "violations": 0},
     {"config": "collect-3x2", "algo": "dpor", "prune": true, "max_crashes": 0, "interleavings": 132, "millis": 1.0, "interleavings_per_sec": 128883, "violations": 0}
   ]
 }"#;
         let f = parse_bench_json(text).unwrap();
         let ids: Vec<String> = f.results.iter().map(identity).collect();
-        assert!(ids[0].contains("algo=dfs-prune") && ids[1].contains("algo=dpor"));
+        assert!(ids[0].contains("algo=dfs ") && ids[1].contains("algo=dpor"));
         assert_ne!(ids[0], ids[1], "algo distinguishes otherwise-equal rows");
     }
 
@@ -581,13 +622,13 @@ mod tests {
     fn checker_rows_key_on_mode() {
         // exp_checker emits offline and online rows for the same
         // record count; the per-row mode tag must enter identity so an
-        // online row is never diffed against the offline sweep, while
+        // online row is never diffed against an offline one, while
         // peak_retained_entries is a compared memory metric, not
         // identity.
         let text = r#"{
   "bench": "checker_throughput",
   "results": [
-    {"engine": "sweep", "mode": "offline", "records": 10000, "millis": 5.0, "records_per_sec": 2000000},
+    {"engine": "naive", "mode": "offline", "records": 10000, "millis": 5.0, "records_per_sec": 2000000},
     {"engine": "online", "mode": "online", "records": 10000, "millis": 4.0, "records_per_sec": 2500000, "peak_retained_entries": 120}
   ]
 }"#;

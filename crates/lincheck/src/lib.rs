@@ -8,21 +8,24 @@
 //!   any `x` with `v/k ≤ x ≤ v·k` for the exact value `v` at its
 //!   linearization point (`k = 1` recovers the exact specs).
 //!
-//! Three engines:
+//! One engine and two oracles:
 //!
-//! * [`monotone`] — the production decision procedure exploiting
-//!   monotonicity: each read constrains the object value over its
-//!   real-time window to an interval; a greedy minimal assignment that
-//!   respects real-time read ordering exists iff the history is
-//!   linearizable. The counter checker evaluates the cross-read
-//!   constraints with a timestamp sweep over a monotone stack in
-//!   `O(R log R + I log I)`; this is the engine used by the stress tests
-//!   and sized for million-op histories.
-//! * [`naive`] — the retired quadratic transcriptions of the same
-//!   predicates, retained as cross-validation references.
+//! * [`online`] — the decision procedure, exploiting monotonicity: each
+//!   read constrains the object value over its real-time window to an
+//!   interval; a greedy minimal assignment that respects real-time read
+//!   ordering exists iff the history is linearizable. The cross-read
+//!   constraints are evaluated by a timestamp sweep over a monotone
+//!   stack, run as a stream with retained state bounded by the number
+//!   of concurrently open operations. It checks live runs
+//!   ([`LinearizabilityPass`]) and whole histories alike:
+//!   [`check_counter`], [`check_counter_additive`] and [`check_maxreg`]
+//!   feed a history through it in `O(h log h)`, sized for million-op
+//!   histories.
+//! * [`naive`] — quadratic whole-history transcriptions of the same
+//!   predicates, the independent oracle on larger random histories.
 //! * [`wg`] — an exhaustive Wing&ndash;Gong search (with memoization),
 //!   exponential but spec-agnostic; used on small randomized histories to
-//!   cross-validate the polynomial engines (see this crate's tests).
+//!   cross-validate the engine (see this crate's tests).
 //!
 //! Beyond the per-object specs, [`sketchlog`] checks the `sketch`
 //! crate's *composed* aggregation reads (top-k digests, quantile/rank
@@ -38,7 +41,8 @@
 //! returning the explorer's `Result<(), String>` shape.
 
 mod history;
-pub mod monotone;
+#[cfg(test)]
+mod monotone;
 pub mod naive;
 pub mod online;
 pub mod pass;
@@ -53,5 +57,8 @@ pub use history::{
 };
 pub use online::{CounterSpec, OnlineChecker};
 pub use pass::LinearizabilityPass;
-pub use records::{check_counter_records, check_maxreg_records};
+pub use records::{
+    check_counter, check_counter_additive, check_counter_records, check_maxreg,
+    check_maxreg_records,
+};
 pub use sketchlog::{check_quantile_records, check_topk_records, SketchEnvelope};

@@ -1,42 +1,41 @@
-//! Reference checkers: direct transcriptions of the decision procedures
-//! in [`monotone`](crate::monotone), without the sweep machinery.
+//! Reference checkers: direct, whole-history transcriptions of the
+//! decision procedures in [`online`](crate::online), without the
+//! sweep machinery — the independent oracles the streaming engine is
+//! cross-validated against.
 //!
-//! * [`check_counter_with`] is the previous engine generation: the
+//! * [`check_counter`] / [`check_counter_additive`] evaluate the
 //!   per-read window bounds plus an explicit **pairwise** loop over all
 //!   preceding reads for constraint 3 — `O(R² log I)` for `R` reads and
 //!   `I` increment records.
 //! * [`check_maxreg`] evaluates the max-register greedy with plain
-//!   quadratic scans instead of the event sweep — `O(R·W + W²)`.
+//!   quadratic scans — `O(R·W + W²)`.
 //!
-//! Both decide the same predicates as their [`monotone`] counterparts;
-//! their sole purpose is cross-validation (`tests/cross_validation.rs`
-//! compares the engines on thousands of randomized histories, and
-//! `exp_checker` measures the asymptotic gap). Do not use them on large
-//! histories.
-//!
-//! [`monotone`]: crate::monotone
+//! They decide the same predicates as the crate-root checkers; their
+//! sole purpose is cross-validation (`tests/cross_validation.rs` and
+//! `tests/online_differential.rs` compare the engines on thousands of
+//! randomized histories, and `exp_checker` measures the asymptotic
+//! gap). Do not use them on large histories.
 
 use crate::history::{CounterHistory, MaxRegHistory, Violation};
-use crate::monotone::{prefix_sums, weighted_leq, weighted_lt};
 
 /// Pairwise-reference check of a counter history against the
 /// k-multiplicative spec (`k = 1` for the exact counter).
 pub fn check_counter(h: &CounterHistory, k: u64) -> Result<(), Violation> {
     assert!(k >= 1);
     let kk = u128::from(k);
-    check_counter_with(h, |x| (x.div_ceil(kk), x.saturating_mul(kk)))
+    check_counter_window(h, |x| (x.div_ceil(kk), x.saturating_mul(kk)))
 }
 
 /// Pairwise-reference check against the **k-additive** spec.
 pub fn check_counter_additive(h: &CounterHistory, k: u64) -> Result<(), Violation> {
     let kk = u128::from(k);
-    check_counter_with(h, move |x| (x.saturating_sub(kk), x.saturating_add(kk)))
+    check_counter_window(h, move |x| (x.saturating_sub(kk), x.saturating_add(kk)))
 }
 
-/// Pairwise-reference check against an arbitrary relaxed read
-/// specification — the retired `O(R² log I)` hot loop, kept verbatim as
-/// the cross-validation oracle for the sweep engine.
-pub fn check_counter_with<W>(h: &CounterHistory, window: W) -> Result<(), Violation>
+/// Pairwise-reference check against a relaxed read specification:
+/// `window(x)` maps a returned value to the inclusive interval of exact
+/// counts that may have produced it.
+fn check_counter_window<W>(h: &CounterHistory, window: W) -> Result<(), Violation>
 where
     W: Fn(u128) -> (u128, u128),
 {
@@ -112,8 +111,8 @@ where
 
 /// Quadratic-reference check of a max-register history against the
 /// k-multiplicative spec: the same greedy minimal-maximum recurrence as
-/// [`monotone::check_maxreg`](crate::monotone::check_maxreg), with every
-/// quantity recomputed by a plain scan.
+/// [`crate::check_maxreg`], with every quantity recomputed by a plain
+/// scan.
 pub fn check_maxreg(h: &MaxRegHistory, k: u64) -> Result<(), Violation> {
     assert!(k >= 1);
     let kk = u128::from(k);
@@ -184,6 +183,59 @@ pub fn check_maxreg(h: &MaxRegHistory, k: u64) -> Result<(), Violation> {
         }
     }
     Ok(())
+}
+
+/// Prefix sums of the weights of a time-sorted `(time, weight)` slice.
+/// With [`weighted_lt`]/[`weighted_leq`], the weighted-count primitive
+/// used by this module's counter oracle and by history generators that
+/// must agree with its boundary semantics (e.g. `exp_checker`).
+///
+/// The slice **must** be sorted by time: the companion lookups run
+/// `partition_point`, which silently returns garbage on unsorted
+/// input. All three functions `debug_assert!` the contract, so a
+/// violation panics in debug builds instead of corrupting verdicts.
+pub fn prefix_sums(sorted: &[(u64, u64)]) -> Vec<u128> {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
+        "prefix_sums requires a time-sorted slice"
+    );
+    let mut out = Vec::with_capacity(sorted.len());
+    let mut run: u128 = 0;
+    for &(_, w) in sorted {
+        run += u128::from(w);
+        out.push(run);
+    }
+    out
+}
+
+/// Total weight of entries with time strictly less than `t`.
+/// `sorted` must be time-sorted (see [`prefix_sums`]).
+pub fn weighted_lt(sorted: &[(u64, u64)], prefix: &[u128], t: u64) -> u128 {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
+        "weighted_lt requires a time-sorted slice"
+    );
+    let cnt = sorted.partition_point(|&(x, _)| x < t);
+    if cnt == 0 {
+        0
+    } else {
+        prefix[cnt - 1]
+    }
+}
+
+/// Total weight of entries with time less than or equal to `t`.
+/// `sorted` must be time-sorted (see [`prefix_sums`]).
+pub fn weighted_leq(sorted: &[(u64, u64)], prefix: &[u128], t: u64) -> u128 {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
+        "weighted_leq requires a time-sorted slice"
+    );
+    let cnt = sorted.partition_point(|&(x, _)| x <= t);
+    if cnt == 0 {
+        0
+    } else {
+        prefix[cnt - 1]
+    }
 }
 
 /// A Fenwick (binary indexed) tree over `len` slots, counting weighted

@@ -1,35 +1,109 @@
-//! Streaming (online) linearizability checking: the monotone sweep of
-//! [`crate::monotone`], re-expressed as a push-driven state machine
-//! that consumes [`OpRecord`]s one at a time and keeps retained state
-//! proportional to the number of *concurrently open* operations, not
-//! to the length of the history.
+//! Linearizability checking for the counter and max-register
+//! specifications — the crate's decision procedure, run as a
+//! push-driven state machine that consumes [`OpRecord`]s one at a time
+//! and keeps retained state proportional to the number of
+//! *concurrently open* operations, not to the length of the history.
+//! Inline checks ([`crate::LinearizabilityPass`]) push a live run's
+//! events; post-hoc checks ([`crate::check_counter`] and friends) feed
+//! a whole history through [`OnlineChecker::feed_counter_history`] /
+//! [`OnlineChecker::feed_maxreg_history`]. The quadratic
+//! [`naive`](crate::naive) transcriptions and the exhaustive
+//! [`wg`](crate::wg) search are the independent oracles it is
+//! cross-validated against (see this crate's `tests/`).
 //!
-//! # How the offline sweep becomes incremental
+//! # Counter
 //!
-//! The offline counter sweep processes three event types in timestamp
-//! order — a read's *query* at its invocation, its *insert* at its
-//! response, and a completed increment's *arrival* at its response —
-//! and resolves each query against two global weighted tables
-//! (`A` = completed-before weight, `B` = possibly-before weight) plus
-//! the monotone stack of earlier read assignments. All three inputs
-//! are prefix quantities of the very stream the sweep walks, so a
-//! push-driven checker needs no tables at all:
+//! A history of (weighted) increments and reads returning `x_r` is
+//! linearizable w.r.t. the k-multiplicative counter spec iff each read
+//! `r` can be assigned an exact count `v_r` such that
+//!
+//! 1. `⌈x_r/k⌉ ≤ v_r ≤ x_r·k` (spec admissibility);
+//! 2. `A_r ≤ v_r ≤ B_r`, where `A_r` sums increments *completed
+//!    strictly before* `r` was invoked (they are forced before `r`) and
+//!    `B_r` sums increments invoked at or before `r`'s response (only
+//!    these can precede `r` — `i` may precede `r` iff `r` does not
+//!    strictly precede `i`, i.e. `i.inv ≤ r.resp`);
+//! 3. for every pair of reads with `r.resp < s.inv`:
+//!    `v_s ≥ v_r + D(r, s)`, where `D(r, s)` sums increments whose whole
+//!    window lies between `r`'s response and `s`'s invocation — everything
+//!    `r` counted precedes `s` too, and the `D` increments are forced in
+//!    between.
+//!
+//! An increment record of multiplicity `m` counts as `m` everywhere — it
+//! is exactly `m` unit increments sharing one window (a pending batch
+//! may have landed any prefix of them). Other read specifications
+//! ([`CounterSpec`]) only change the window of constraint 1.
+//!
+//! Necessity of 1–3 is immediate; sufficiency is the standard
+//! interval-order construction (place reads in `v_r`-order refined by
+//! real time, then slot increments). The greedy longest-path assignment
+//! `v_r = max(lo_r, max_{r'≺r}(v_{r'} + D(r', r)))` is minimal, so it
+//! succeeds iff some assignment does.
+//!
+//! ## The sweep
+//!
+//! Constraint 3 is the hot loop. Evaluating it pairwise is `O(R²)`
+//! ([`naive`](crate::naive) keeps that transcription as the oracle);
+//! this engine instead walks all events in timestamp order and
+//! maintains, in a monotone stack, the running quantity
+//!
+//! ```text
+//! M(t) = max over reads p with p.resp < t of  ( v_p + D(p, t) )
+//! ```
+//!
+//! so a read invoked at `t` needs just `v_r ≥ max(lo_r, M(t))`. Three
+//! event types drive it: a read's *query* at `r.inv`, its *insert* at
+//! `r.resp` (add the term `v_r`, with `D(r, t) = 0` at that instant),
+//! and an increment *arrival* at `i.resp` (add its amount to the term
+//! of every read with `p.resp < i.inv` — exactly the reads whose `D`
+//! the increment enters). Terms only grow, prefixes (in `resp` order)
+//! grow fastest, so the set of reads that can ever realize the maximum
+//! is a stack of strictly increasing terms; each read enters and leaves
+//! it at most once (the crate's `sweep` module).
+//!
+//! # Max register
+//!
+//! Analogous, with max instead of sum. Each read `r` gets a minimal
+//! achievable maximum `m_r` with: `m_r ≥ base(r) = max(M_A(r), m_{r'}
+//! for reads r' that precede r)` where `M_A(r)` is the largest write
+//! completed before `r.inv`; `m_r` admissible for `x_r`. If `base(r)` is
+//! not already admissible, a *witness* write `w` with `w.inv ≤ r.resp`
+//! must be linearized before `r` — but placing `w` drags along everything
+//! forced before `w` in real time: earlier-completed **writes** (their
+//! values) and earlier-completed **reads** (whose own minimal maxima were
+//! forced by *their* witnesses). So the witness's **effective value** is
+//!
+//! ```text
+//! ev(w) = max(w.value,
+//!             max{w'.value : w'.resp < w.inv},
+//!             max{m_{r'}   : r'.resp < w.inv})
+//! ```
+//!
+//! and the greedy picks the smallest admissible `ev(w)`. All quantities
+//! depend only on strictly earlier timestamps, so one event-ordered
+//! pass computes everything.
+//!
+//! # Running the sweep as a stream
+//!
+//! Every input the sweep consults is a prefix quantity of the very
+//! stream it walks, so a push-driven checker needs no global tables:
 //!
 //! * `A` at a read's invocation is the running sum of completed
 //!   increment amounts — *captured when the read is announced*;
 //! * `B` at a read's response is the running sum of announced
 //!   increment amounts — read when the read completes;
-//! * the stack maximum a query observes is the stack's state at the
-//!   read's invocation — also captured at announcement.
+//! * the stack maximum `M` a query observes is the stack's state at the
+//!   read's invocation — also captured at announcement;
+//! * for the max register, `base(r)` and each witness's `ev(w)` are
+//!   likewise captured at the operation's announcement, from the
+//!   running completed-write and finalized-read maxima.
 //!
-//! Both engines therefore split every operation into an
+//! The checker therefore splits every operation into an
 //! **announcement** (at `inv`, before any same-timestamp completion)
 //! and a **completion** (at `resp`); the per-operation capture lives
 //! in a small per-process map while the operation is open and dies
-//! with its completion (or crash). Verdicts are identical to the
-//! offline sweep — only the *detection point* moves, from a read's
-//! invocation (where the offline sweep evaluates its query) to its
-//! response (where the online checker has finally seen `B`).
+//! with its completion (or crash). A read is decided at its
+//! *response*, where `B` is finally known.
 //!
 //! # Watermark retirement: why retained state stays bounded
 //!
@@ -49,6 +123,10 @@
 //! analogue prunes its witness set below
 //! `min(max(completed write, finalized read), min open-read base)` —
 //! values at or below that floor can never again be selected.
+//!
+//! **Complexity:** `O(log)` per record (one ordered-map operation plus
+//! amortized-constant stack work); feeding a whole history adds one
+//! sort of its `2·(ops)` announcement/completion events.
 //!
 //! # Input contract
 //!
@@ -92,9 +170,8 @@ fn metrics() -> &'static CheckerMetrics {
     })
 }
 
-/// A relaxed counter read specification, mirroring the two closed-form
-/// windows of [`crate::monotone::check_counter`] and
-/// [`crate::monotone::check_counter_additive`].
+/// A relaxed counter read specification: the two closed-form windows
+/// behind [`crate::check_counter`] and [`crate::check_counter_additive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterSpec {
     /// `k`-multiplicative accuracy: a read of `x` admits exact counts
@@ -106,9 +183,7 @@ pub enum CounterSpec {
 }
 
 impl CounterSpec {
-    /// The inclusive window of exact counts admitting a read of `x` —
-    /// identical to the closures the offline entry points pass to
-    /// `check_counter_with`.
+    /// The inclusive window of exact counts admitting a read of `x`.
     pub fn window(self, x: u128) -> (u128, u128) {
         match self {
             CounterSpec::Multiplicative(k) => {
@@ -470,7 +545,8 @@ impl OnlineChecker {
                                      forced maximum {base}, admissible value window \
                                      [{spec_lo}, {spec_hi}], and no write invoked at \
                                      or before the response timestamp {resp} has an \
-                                     effective value in that window"
+                                     effective value in that window (k = {})",
+                                    m.k
                                 ),
                             });
                         }
@@ -485,42 +561,24 @@ impl OnlineChecker {
         Ok(())
     }
 
-    /// Feed a whole counter history (the offline input type) through
-    /// the checker, splitting each operation into announcement and
-    /// completion events and delivering them in the offline sweep's
-    /// exact order. Convenience for differential tests and benches;
-    /// the checker must have been built by a `counter*` constructor.
+    /// Feed a whole counter history through the checker, splitting each
+    /// operation into announcement and completion events delivered in
+    /// timestamp order (reads before increments at equal keys). The
+    /// checker must have been built by a `counter*` constructor.
     pub fn feed_counter_history(&mut self, h: &CounterHistory) -> Result<(), Violation> {
         assert!(
             matches!(self.inner, Inner::Counter(_)),
             "feed_counter_history on a max-register checker"
         );
-        // (timestamp, phase, record). Reads first, then increments,
-        // stably sorted — the same relative order the offline sweep's
-        // event vector ends up in, so equal-timestamp processing
-        // matches it operation for operation.
-        let mut events: Vec<(u64, u8, OpRecord)> =
-            Vec::with_capacity(2 * (h.reads.len() + h.incs.len()));
-        for (j, r) in h.reads.iter().enumerate() {
-            let pid = j;
-            let kind = OpKind::Read { returned: r.value };
-            events.push((r.inv, 0, announce_rec(pid, kind, r.inv)));
-            events.push((r.resp, 1, complete_rec(pid, kind, r.inv, r.resp)));
-        }
-        for (i, inc) in h.incs.iter().enumerate() {
-            let pid = h.reads.len() + i;
-            let kind = OpKind::Inc { amount: inc.amount };
-            let inv = inc.window.inv;
-            events.push((inv, 0, announce_rec(pid, kind, inv)));
-            if let Some(resp) = inc.window.resp {
-                events.push((resp, 1, complete_rec(pid, kind, inv, resp)));
+        let reads = h.reads.len();
+        self.feed_ops(reads + h.incs.len(), |idx| match h.reads.get(idx) {
+            Some(r) => (OpKind::Read { returned: r.value }, r.inv, Some(r.resp)),
+            None => {
+                let inc = &h.incs[idx - reads];
+                let kind = OpKind::Inc { amount: inc.amount };
+                (kind, inc.window.inv, inc.window.resp)
             }
-        }
-        events.sort_by_key(|&(t, tie, _)| (t, tie));
-        for (_, _, rec) in &events {
-            self.push(rec)?;
-        }
-        self.finish()
+        })
     }
 
     /// Max-register analogue of
@@ -530,26 +588,52 @@ impl OnlineChecker {
             matches!(self.inner, Inner::MaxReg(_)),
             "feed_maxreg_history on a counter checker"
         );
-        let mut events: Vec<(u64, u8, OpRecord)> =
-            Vec::with_capacity(2 * (h.reads.len() + h.writes.len()));
-        for (j, r) in h.reads.iter().enumerate() {
-            let pid = j;
-            let kind = OpKind::Read { returned: r.value };
-            events.push((r.inv, 0, announce_rec(pid, kind, r.inv)));
-            events.push((r.resp, 1, complete_rec(pid, kind, r.inv, r.resp)));
-        }
-        for (i, w) in h.writes.iter().enumerate() {
-            let pid = h.reads.len() + i;
-            let kind = OpKind::Write { value: w.value };
-            let inv = w.window.inv;
-            events.push((inv, 0, announce_rec(pid, kind, inv)));
-            if let Some(resp) = w.window.resp {
-                events.push((resp, 1, complete_rec(pid, kind, inv, resp)));
+        let reads = h.reads.len();
+        self.feed_ops(reads + h.writes.len(), |idx| match h.reads.get(idx) {
+            Some(r) => (OpKind::Read { returned: r.value }, r.inv, Some(r.resp)),
+            None => {
+                let w = &h.writes[idx - reads];
+                (
+                    OpKind::Write { value: w.value },
+                    w.window.inv,
+                    w.window.resp,
+                )
+            }
+        })
+    }
+
+    /// Feed `n` operations, `op(idx) = (kind, inv, resp)`, each as its
+    /// own pid. Events are compact `(timestamp, phase, index)` triples —
+    /// 16 bytes each — sorted once; the [`OpRecord`] for each is built
+    /// on the fly at its push, so a million-op history never holds a
+    /// second copy of itself.
+    fn feed_ops<F>(&mut self, n: usize, op: F) -> Result<(), Violation>
+    where
+        F: Fn(usize) -> (OpKind, u64, Option<u64>),
+    {
+        let idx32 = |i: usize| u32::try_from(i).expect("history exceeds u32::MAX operations");
+        let mut events: Vec<(u64, u8, u32)> = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            let (_, inv, resp) = op(i);
+            events.push((inv, 0, idx32(i)));
+            if let Some(resp) = resp {
+                assert!(inv < resp, "operation window must satisfy inv < resp");
+                events.push((resp, 1, idx32(i)));
             }
         }
-        events.sort_by_key(|&(t, tie, _)| (t, tie));
-        for (_, _, rec) in &events {
-            self.push(rec)?;
+        // The index is unique per phase, so the unstable sort is
+        // deterministic: equal-timestamp events keep index order.
+        events.sort_unstable();
+        for (_, phase, i) in events {
+            let pid = i as usize;
+            let (kind, inv, resp) = op(pid);
+            self.push(&OpRecord {
+                pid,
+                kind,
+                inv,
+                resp: if phase == 0 { None } else { resp },
+                steps: 0,
+            })?;
         }
         self.finish()
     }
@@ -630,31 +714,31 @@ fn overlap_violation(pid: usize, inv: u64) -> Violation {
     }
 }
 
-fn announce_rec(pid: usize, kind: OpKind, inv: u64) -> OpRecord {
-    OpRecord {
-        pid,
-        kind,
-        inv,
-        resp: None,
-        steps: 0,
-    }
-}
-
-fn complete_rec(pid: usize, kind: OpKind, inv: u64, resp: u64) -> OpRecord {
-    OpRecord {
-        pid,
-        kind,
-        inv,
-        resp: Some(resp),
-        steps: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::{Interval, TimedInc, TimedRead, TimedWrite};
-    use crate::monotone::{check_counter, check_counter_additive, check_maxreg};
+    use crate::naive::{check_counter, check_counter_additive, check_maxreg};
+
+    fn announce_rec(pid: usize, kind: OpKind, inv: u64) -> OpRecord {
+        OpRecord {
+            pid,
+            kind,
+            inv,
+            resp: None,
+            steps: 0,
+        }
+    }
+
+    fn complete_rec(pid: usize, kind: OpKind, inv: u64, resp: u64) -> OpRecord {
+        OpRecord {
+            pid,
+            kind,
+            inv,
+            resp: Some(resp),
+            steps: 0,
+        }
+    }
 
     fn inc(inv: u64, resp: u64) -> TimedInc {
         TimedInc::unit(Interval::done(inv, resp))
@@ -673,6 +757,8 @@ mod tests {
 
     #[test]
     fn counter_matches_offline_on_simple_histories() {
+        // "Offline" is the naive oracle: a whole-history transcription
+        // of the same predicates.
         let good = CounterHistory {
             incs: vec![inc(0, 1), inc(2, 3)],
             reads: vec![read(4, 5, 2)],
@@ -741,7 +827,7 @@ mod tests {
             .push(&complete_rec(2, OpKind::Read { returned: 0 }, 3, 4))
             .unwrap_err();
         assert!(err.message.contains("empty window"), "{}", err.message);
-        // Offline agrees.
+        // The naive oracle agrees.
         let h = CounterHistory {
             incs: vec![TimedInc::unit(Interval::pending(0))],
             reads: vec![read(1, 2, 1), read(3, 4, 0)],

@@ -1,5 +1,4 @@
-//! The monotone stack shared by the offline counter sweep
-//! ([`crate::monotone::check_counter_with`]) and the streaming checker
+//! The monotone stack behind the counter checker's sweep
 //! ([`crate::online`]): entries `(resp, term)` inserted in
 //! nondecreasing `resp` order, supporting
 //!
@@ -22,7 +21,7 @@
 //! construction. (The previous `BTreeMap` encoding hit an allocator +
 //! pointer-chasing knee near 10⁶ records.)
 //!
-//! The offline sweep only appends; the streaming checker additionally
+//! Appending alone would grow with the history; the streaming checker
 //! needs the state to stay *small* on unbounded histories, which
 //! [`MonotoneStack::fold_and_compact`] provides: any two adjacent live
 //! entries whose gap can no longer contain a future raise boundary are

@@ -2,10 +2,10 @@
 //!
 //! Spec-agnostic, exponential-time, memoized DFS over (set of linearized
 //! operations, object state). Practical up to ~20 operations — exactly
-//! what is needed to cross-validate the polynomial [`monotone`] engine on
+//! what is needed to cross-validate the polynomial [`online`] engine on
 //! randomized small histories, which is its sole purpose here.
 //!
-//! [`monotone`]: crate::monotone
+//! [`online`]: crate::online
 
 use std::collections::HashSet;
 

@@ -1,21 +1,21 @@
-//! Cross-validation of the polynomial checkers against independent
+//! Cross-validation of the crate's checker against independent
 //! engines on randomized histories.
 //!
 //! Two layers of evidence:
 //!
-//! * **vs Wing–Gong** — the sweep engines must agree exactly with the
+//! * **vs Wing–Gong** — the sweep checker must agree exactly with the
 //!   exhaustive checker on thousands of small random histories, dense
 //!   with both linearizable and non-linearizable cases (batched
 //!   increments are expanded into unit `Inc` events for the exhaustive
 //!   side).
 //! * **vs the `naive` references** (property tests) — on larger random
-//!   histories, beyond what Wing–Gong can explore, the `O(R log R)`
-//!   sweep counter checker and the sweep max-register checker must
-//!   agree with the retained quadratic transcriptions, including
-//!   pending operations and multi-unit increment batches.
+//!   histories, beyond what Wing–Gong can explore, the sweep counter
+//!   and max-register checkers must agree with the quadratic
+//!   transcriptions, including pending operations and multi-unit
+//!   increment batches.
 
-use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::wg::{wg_check, WgEvent, WgOp};
+use lincheck::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::{naive, CounterHistory, Interval, MaxRegHistory, TimedInc, TimedRead, TimedWrite};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -214,7 +214,7 @@ fn counter_history(incs: &[OpTuple], reads: &[(u64, u64, u64)]) -> CounterHistor
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// The sweep counter checker agrees with the retained pairwise
+    /// The sweep counter checker agrees with the pairwise
     /// reference on histories an exhaustive search could never cover:
     /// dozens of overlapping windows, pending increments, and batches.
     #[test]

@@ -1,10 +1,10 @@
 //! Differential validation of the streaming checker: on any history —
 //! pending records, batched increments, crash-truncated runs — the
 //! [`OnlineChecker`] must accept or reject exactly when the offline
-//! monotone sweep does. A deliberately reordered push stream (the
+//! `naive` oracle does. A deliberately reordered push stream (the
 //! seeded mutant) must be *caught*, not silently mis-checked.
 
-use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
+use lincheck::naive::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::{
     CounterHistory, Interval, MaxRegHistory, OnlineChecker, TimedInc, TimedRead, TimedWrite,
 };
@@ -135,7 +135,7 @@ proptest! {
 
     /// Crash-truncated runs: ops whose process crashes mid-flight are
     /// fed to the online checker as announce-then-`crash(pid)`, and to
-    /// the offline sweep in its native encoding — a pending increment
+    /// the offline oracle in its native encoding — a pending increment
     /// (kept, may have taken effect) or a dropped read (imposes no
     /// constraint). Verdicts must agree.
     #[test]
@@ -173,7 +173,7 @@ proptest! {
         // Online encoding: every op is announced; crashed ops get
         // `crash(pid)` right after their announcement instead of a
         // completion. Reads first, then increments, stably sorted —
-        // matching the offline sweep's event order at equal keys.
+        // the order `feed_counter_history` uses at equal keys.
         #[derive(Clone, Copy)]
         enum Ev {
             Announce { pid: usize, kind: OpKind, inv: u64, crashed: bool },

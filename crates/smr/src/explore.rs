@@ -24,7 +24,7 @@
 //!
 //! ## Independence
 //!
-//! Both reduction algorithms below rest on one independence relation —
+//! The reduction below rests on one independence relation —
 //! [`smr::analysis::independent`](crate::analysis::independent), the
 //! relation `commutation_audit` validates operationally. Two granted
 //! steps commute when
@@ -54,16 +54,16 @@
 //! the explorer turns it on); event emission is read off the history
 //! length.
 //!
-//! ## Reduction: DPOR (default) and adjacent-swap pruning
+//! ## Reduction: DPOR
 //!
-//! With [`ExploreAlgo::Dpor`] (the default while `prune` is on and no
-//! preemption budget is set), the explorer runs **dynamic partial-order
-//! reduction** in the style of Flanagan–Godefroid, with sleep sets: as
-//! each interleaving executes, every step is stamped with a vector
-//! clock (the same adaptive clocks as `smr::analysis::hb`) joining the
-//! clocks of its happens-before predecessors — its process's previous
-//! step plus every earlier *dependent* step not already ordered before
-//! it. A dependent-but-concurrent pair is a race: its reversal may be a
+//! With `prune` on (the default) and no preemption budget set, the
+//! explorer runs **dynamic partial-order reduction** in the style of
+//! Flanagan–Godefroid, with sleep sets: as each interleaving executes,
+//! every step is stamped with a vector clock (the same adaptive clocks
+//! as `smr::analysis::hb`) joining the clocks of its happens-before
+//! predecessors — its process's previous step plus every earlier
+//! *dependent* step not already ordered before it. A
+//! dependent-but-concurrent pair is a race: its reversal may be a
 //! distinct Mazurkiewicz trace, so the racing process is added to the
 //! *backtrack set* of the node where the earlier step ran, and the walk
 //! later re-explores that node with the reversal scheduled first. Sleep
@@ -93,14 +93,10 @@
 //! coverage stays exhaustive (one crash cut per prefix per process, as
 //! in the raw DFS); the reduction only collapses step reorderings.
 //!
-//! [`ExploreAlgo::Dfs`] keeps the older, weaker rule: visit only
-//! schedules where no adjacent independent pair is inverted (the lower
-//! pid second). Every trace class contains its lexicographically least
-//! member, which has no such inversion, so outcomes are preserved —
-//! but only *adjacent* commutations are collapsed, which leaves many
-//! duplicates DPOR removes. It survives as a differential baseline.
+//! The reduction's oracle is the raw walk itself: tests pin that DPOR
+//! reaches exactly the history set exhaustive enumeration reaches.
 //!
-//! A preemption bound disables both reductions: commuting a pair does
+//! A preemption bound disables the reduction: commuting a pair does
 //! not preserve preemption counts, so under a budget every schedule is
 //! explored as-is. `prune: false` likewise forces the raw DFS — that is
 //! what the closed-form interleaving-count tests rely on.
@@ -250,20 +246,6 @@ impl Replay {
     }
 }
 
-/// Which reduction the explorer runs when `prune` is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExploreAlgo {
-    /// Adjacent-swap canonical-order pruning (the pre-DPOR reduction).
-    /// Collapses only adjacent commutations; kept as a differential
-    /// baseline.
-    Dfs,
-    /// Dynamic partial-order reduction with sleep sets (see the [module
-    /// docs](self)): one representative per Mazurkiewicz trace class,
-    /// races detected through happens-before vector clocks.
-    #[default]
-    Dpor,
-}
-
 /// Bounds and options for one [`explore`] call.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
@@ -276,15 +258,14 @@ pub struct ExploreConfig {
     /// from a process that could still run costs one; switches at
     /// completions and crashes are free.
     pub max_preemptions: Option<usize>,
-    /// Skip interleavings equivalent to an already-visited one (see the
-    /// [module docs](self)). Disable to count raw interleavings against
-    /// a closed form. Ignored when `max_preemptions` is set: a reduced
-    /// schedule's representative can cost more preemptions than the
-    /// skipped one, so reduction under a preemption budget would
-    /// silently drop in-budget equivalence classes.
+    /// Run DPOR: skip interleavings equivalent to an already-visited
+    /// one (see the [module docs](self)). Disable to count raw
+    /// interleavings against a closed form. Ignored when
+    /// `max_preemptions` is set: a reduced schedule's representative
+    /// can cost more preemptions than the skipped one, so reduction
+    /// under a preemption budget would silently drop in-budget
+    /// equivalence classes.
     pub prune: bool,
-    /// The reduction to run when `prune` is on.
-    pub algo: ExploreAlgo,
     /// Hard cap on checked interleavings (`None` = exhaust the space).
     pub max_interleavings: Option<u64>,
     /// Stop after this many violations have been found and minimized.
@@ -298,7 +279,6 @@ impl Default for ExploreConfig {
             max_crashes: 0,
             max_preemptions: None,
             prune: true,
-            algo: ExploreAlgo::default(),
             max_interleavings: None,
             max_violations: 1,
         }
@@ -336,9 +316,8 @@ pub struct FoundViolation {
 pub struct ExploreStats {
     /// History cuts checked (maximal interleavings plus bound cuts).
     pub interleavings: u64,
-    /// Subtrees skipped by the reduction (canonical-order cuts under
-    /// [`ExploreAlgo::Dfs`]; sleeping or never-backtracked choices
-    /// under [`ExploreAlgo::Dpor`]).
+    /// Subtrees skipped by the reduction (sleeping or never-backtracked
+    /// choices).
     pub pruned: u64,
     /// Total granted steps across all replays (the work metric).
     pub steps_replayed: u64,
@@ -366,12 +345,12 @@ struct Frame {
 
 /// Apply one decision to the driver, returning the step's [`StepMeta`]
 /// (for traced `Step` decisions). `traced` controls whether this call
-/// drains and inspects the trace: the raw DFS replays prefixes with
-/// tracing off entirely (no per-step mutex/alloc traffic), while the
-/// DPOR walk keeps tracing on throughout — it needs the prefix accesses
-/// to rebuild object identity in each fresh instance — but still passes
-/// `traced: false` during replay and drains the whole prefix in one
-/// bulk take afterwards. `scratch` is the reused trace drain buffer —
+/// drains and inspects the trace: the raw DFS needs no step metadata
+/// and runs with tracing off entirely (no per-step mutex/alloc
+/// traffic), while the DPOR walk keeps tracing on throughout — it needs
+/// the prefix accesses to rebuild object identity in each fresh
+/// instance — but still passes `traced: false` during replay and drains
+/// the whole prefix in one bulk take afterwards. `scratch` is the reused trace drain buffer —
 /// one allocation per walk, not per step.
 fn apply(
     d: &mut Driver<CoopBackend>,
@@ -434,22 +413,11 @@ fn indep_opt(a: &Option<StepMeta>, b: &Option<StepMeta>) -> bool {
     }
 }
 
-/// The adjacent-swap pruning rule: `second` (just executed) commutes
-/// with `first` (executed immediately before it) and is out of
-/// canonical order.
-fn prunable(first: &Option<StepMeta>, second: &Option<StepMeta>) -> bool {
-    let (Some(a), Some(b)) = (first, second) else {
-        return false; // crash edges are never commuted
-    };
-    b.pid < a.pid && independent(a, b)
-}
-
 /// Mutable walk state threaded through one replay/extension pass.
 struct Walk {
     steps: usize,
     crashes: usize,
     preemptions: usize,
-    prev: Option<StepMeta>,
     /// Pid of the last granted step, and whether that process was still
     /// active immediately after it (a switch away from it is then a
     /// preemption).
@@ -462,13 +430,12 @@ impl Walk {
             steps: 0,
             crashes: 0,
             preemptions: 0,
-            prev: None,
             last_runnable: None,
         }
     }
 
     /// Update the counters for an applied decision.
-    fn account(&mut self, choice: Choice, info: Option<StepMeta>, d: &Driver<CoopBackend>) {
+    fn account(&mut self, choice: Choice, d: &Driver<CoopBackend>) {
         match choice {
             Choice::Step(pid) => {
                 if let Some(last) = self.last_runnable {
@@ -477,12 +444,10 @@ impl Walk {
                     }
                 }
                 self.steps += 1;
-                self.prev = info;
                 self.last_runnable = d.active_set().contains(pid).then_some(pid);
             }
             Choice::Crash(pid) => {
                 self.crashes += 1;
-                self.prev = None;
                 if self.last_runnable == Some(pid) {
                     self.last_runnable = None; // switching away is now free
                 }
@@ -576,22 +541,21 @@ where
 /// suspended by the bound).
 ///
 /// With the default configuration this runs the DPOR engine; `prune:
-/// false`, [`ExploreAlgo::Dfs`] or a preemption budget select the raw
-/// depth-first walk. See the [module docs](self) for the enumeration
+/// false` or a preemption budget select the raw depth-first walk. See the [module docs](self) for the enumeration
 /// order, the soundness arguments and the bounds.
 pub fn explore<F, C>(cfg: &ExploreConfig, factory: F, check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
     C: FnMut(&History) -> Result<(), String>,
 {
-    if cfg.prune && cfg.max_preemptions.is_none() && cfg.algo == ExploreAlgo::Dpor {
+    if cfg.prune && cfg.max_preemptions.is_none() {
         explore_dpor(cfg, &factory, check)
     } else {
         explore_dfs(cfg, &factory, check)
     }
 }
 
-/// The raw depth-first walk, with optional adjacent-swap pruning.
+/// The raw depth-first walk: every interleaving within the bounds.
 fn explore_dfs<F, C>(cfg: &ExploreConfig, factory: &F, mut check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
@@ -600,12 +564,6 @@ where
     let mut stats = ExploreStats::default();
     let mut path: Vec<Frame> = Vec::new();
     let mut scratch: Vec<TraceEvent> = Vec::new();
-    // Pruning keeps only the lexicographically-canonical member of each
-    // equivalence class, but a preemption budget is not invariant under
-    // the commutation (the canonical schedule may preempt more), so the
-    // two compose unsoundly — an in-budget class could lose its only
-    // in-budget representative. Exhaustiveness wins over reduction.
-    let prune = cfg.prune && cfg.max_preemptions.is_none();
 
     /// Advance to the next unexplored branch; `false` when the tree is
     /// exhausted.
@@ -621,46 +579,18 @@ where
     }
 
     'outer: loop {
-        // Replay the current prefix on a fresh driver. The prune check
-        // only consults the last two decisions, so the replay runs
-        // untraced up to them (tracing costs a mutex + alloc per step,
-        // and replays are the explorer's entire work); tracing turns on
-        // for the final two edges and stays on for the extension.
+        // Replay the current prefix on a fresh driver, untraced: the
+        // walk needs no step metadata, and replays are its entire work.
         let mut d = factory();
         assert!(
             d.runtime().is_coop(),
             "explore requires a coop driver (Driver::coop over Runtime::coop)"
         );
         let mut walk = Walk::new();
-        let prefix: Vec<Choice> = path.iter().map(|f| f.alts[f.idx]).collect();
-        let traced_from = prefix.len().saturating_sub(2);
-        let mut replay_pruned = false;
-        for (i, &choice) in prefix.iter().enumerate() {
-            if i == traced_from {
-                d.runtime().enable_tracing();
-                d.runtime().take_trace_into(&mut scratch); // drop any factory-time noise
-            }
-            let prev = walk.prev;
-            let info = apply(&mut d, choice, i >= traced_from, &mut scratch);
+        for choice in path.iter().map(|f| f.alts[f.idx]) {
+            apply(&mut d, choice, false, &mut scratch);
             stats.steps_replayed += u64::from(matches!(choice, Choice::Step(_)));
-            walk.account(choice, info, &d);
-            // Only the deepest decision can be fresh; everything above
-            // it already passed this check when first taken.
-            if i + 1 == prefix.len() && prune && prunable(&prev, &info) {
-                replay_pruned = true;
-                break;
-            }
-        }
-        if prefix.is_empty() {
-            d.runtime().enable_tracing();
-            d.runtime().take_trace_into(&mut scratch); // drop any factory-time noise
-        }
-        if replay_pruned {
-            stats.pruned += 1;
-            if !backtrack(&mut path) {
-                break 'outer;
-            }
-            continue 'outer;
+            walk.account(choice, &d);
         }
 
         // Extend depth-first along each node's first alternative.
@@ -702,17 +632,9 @@ where
             debug_assert!(!alts.is_empty(), "active set non-empty but no alternatives");
             let choice = alts[0];
             path.push(Frame { alts, idx: 0 });
-            let prev = walk.prev;
-            let info = apply(&mut d, choice, true, &mut scratch);
+            apply(&mut d, choice, false, &mut scratch);
             stats.steps_replayed += u64::from(matches!(choice, Choice::Step(_)));
-            walk.account(choice, info, &d);
-            if prune && prunable(&prev, &info) {
-                stats.pruned += 1;
-                if !backtrack(&mut path) {
-                    break 'outer;
-                }
-                continue 'outer;
-            }
+            walk.account(choice, &d);
         }
     }
     stats
@@ -1382,8 +1304,8 @@ where
 /// explore every enabled choice rather than a reduced backtrack set,
 /// and tasks never stop early on another task's violation.)
 ///
-/// Configurations the reduction does not apply to (`prune: false`,
-/// [`ExploreAlgo::Dfs`], a preemption budget) and interleaving-capped
+/// Configurations the reduction does not apply to (`prune: false`, a
+/// preemption budget) and interleaving-capped
 /// runs (a cap is a property of one global visit order) fall back to
 /// the sequential engine.
 pub fn explore_parallel<F, C>(
@@ -1396,11 +1318,7 @@ where
     F: Fn() -> Driver<CoopBackend> + Sync,
     C: Fn(&History) -> Result<(), String> + Sync,
 {
-    if !cfg.prune
-        || cfg.max_preemptions.is_some()
-        || cfg.max_interleavings.is_some()
-        || cfg.algo == ExploreAlgo::Dfs
-    {
+    if !cfg.prune || cfg.max_preemptions.is_some() || cfg.max_interleavings.is_some() {
         return explore(cfg, factory, check);
     }
 
@@ -1564,7 +1482,7 @@ mod tests {
     #[test]
     fn pruning_collapses_independent_steps_without_losing_outcomes() {
         // Each process works a private register: the intermediate reads
-        // commute, so both reductions must collapse schedules while
+        // commute, so the reduction must collapse schedules while
         // still checking at least one per outcome.
         let factory = || {
             let mut d = Driver::coop(Runtime::coop(2));
@@ -1576,22 +1494,13 @@ mod tests {
         };
         let full = explore(&ExploreConfig::exhaustive(100), factory, |_h| Ok(()));
         assert_eq!(u128::from(full.interleavings), multinomial(&[2, 2]));
-        for algo in [ExploreAlgo::Dfs, ExploreAlgo::Dpor] {
-            let reduced = explore(
-                &ExploreConfig {
-                    algo,
-                    ..ExploreConfig::default()
-                },
-                factory,
-                |_h| Ok(()),
-            );
-            assert!(
-                reduced.interleavings < full.interleavings,
-                "{algo:?} must skip equivalent schedules"
-            );
-            assert!(reduced.pruned > 0, "{algo:?} must report skipped subtrees");
-            assert!(reduced.all_ok());
-        }
+        let reduced = explore(&ExploreConfig::default(), factory, |_h| Ok(()));
+        assert!(
+            reduced.interleavings < full.interleavings,
+            "DPOR must skip equivalent schedules"
+        );
+        assert!(reduced.pruned > 0, "DPOR must report skipped subtrees");
+        assert!(reduced.all_ok());
     }
 
     #[test]
@@ -1703,21 +1612,16 @@ mod tests {
             }
             Ok(())
         };
-        for (prune, algo) in [
-            (false, ExploreAlgo::Dpor),
-            (true, ExploreAlgo::Dfs),
-            (true, ExploreAlgo::Dpor),
-        ] {
+        for prune in [false, true] {
             let cfg = ExploreConfig {
                 prune,
-                algo,
                 max_violations: usize::MAX,
                 ..ExploreConfig::default()
             };
             let stats = explore(&cfg, factory, check);
             assert!(
                 !stats.violations.is_empty(),
-                "prune={prune} algo={algo:?}: violation missed"
+                "prune={prune}: violation missed"
             );
         }
     }

@@ -83,8 +83,7 @@ pub use backend::{CoopBackend, ExecBackend, ThreadBackend};
 pub use ctx::ProcCtx;
 pub use driver::{Driver, StepOutcome};
 pub use explore::{
-    explore, explore_parallel, Choice, ExploreAlgo, ExploreConfig, ExploreStats, FoundViolation,
-    Replay,
+    explore, explore_parallel, Choice, ExploreConfig, ExploreStats, FoundViolation, Replay,
 };
 pub use history::{History, OpKind, OpRecord, OpSpec};
 pub use primitives::{FaaRegister, Register, TasBit};

@@ -11,7 +11,7 @@
 use counter::{
     AachCounter, CollectCounter, Counter, FaaCounter, SnapshotCounter, UnboundedTreeCounter,
 };
-use lincheck::monotone::check_counter;
+use lincheck::check_counter;
 use lincheck::CounterHistory;
 use parking_lot::Mutex;
 use smr::sched::SeededRandom;

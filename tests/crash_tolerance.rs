@@ -7,7 +7,7 @@
 
 use approx_objects::{KmultCounter, KmultCounterHandle};
 use counter::{CollectCounter, Counter};
-use lincheck::monotone::check_counter;
+use lincheck::check_counter;
 use lincheck::CounterHistory;
 use parking_lot::Mutex;
 use smr::sched::SeededRandom;

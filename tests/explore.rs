@@ -23,7 +23,7 @@ use bench::multinomial;
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::{check_counter_records, check_maxreg_records};
 use parking_lot::Mutex;
-use smr::explore::{explore, explore_parallel, Choice, ExploreAlgo, ExploreConfig};
+use smr::explore::{explore, explore_parallel, Choice, ExploreConfig};
 use smr::{CoopBackend, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -339,7 +339,7 @@ where
 
 #[test]
 fn reductions_preserve_the_reachable_history_set() {
-    // The soundness contract of both reductions, pinned operationally on
+    // The soundness contract of the DPOR reduction, pinned operationally on
     // every real-object program this suite explores: skipping equivalent
     // interleavings must not change the *set* of reachable history cuts
     // — ticket values, step counts and all — including under crash
@@ -422,20 +422,17 @@ fn reductions_preserve_the_reachable_history_set() {
             factory,
         );
         assert!(!exhaustive.is_empty(), "{name}: no cuts reached");
-        for algo in [ExploreAlgo::Dfs, ExploreAlgo::Dpor] {
-            let reduced = digest_set(
-                &ExploreConfig {
-                    max_crashes: *crashes,
-                    algo,
-                    ..ExploreConfig::default()
-                },
-                factory,
-            );
-            assert_eq!(
-                reduced, exhaustive,
-                "{name}: {algo:?} changed the reachable history set"
-            );
-        }
+        let reduced = digest_set(
+            &ExploreConfig {
+                max_crashes: *crashes,
+                ..ExploreConfig::default()
+            },
+            factory,
+        );
+        assert_eq!(
+            reduced, exhaustive,
+            "{name}: DPOR changed the reachable history set"
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 
 use approx_objects::{KaddCounter, KaddCounterHandle, KmultCounter, KmultCounterHandle};
 use counter::{AachCounter, CollectCounter, Counter, SnapshotCounter};
-use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
+use lincheck::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::{CounterHistory, MaxRegHistory};
 use maxreg::{MaxRegister, TreeMaxRegister};
 use parking_lot::Mutex;

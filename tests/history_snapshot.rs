@@ -7,7 +7,7 @@
 //! its partial effects were already observable in shared memory.
 
 use counter::{CollectCounter, Counter};
-use lincheck::monotone::check_counter;
+use lincheck::check_counter;
 use lincheck::CounterHistory;
 use smr::{Driver, OpKind, OpSpec, Runtime, StepOutcome};
 use std::sync::Arc;

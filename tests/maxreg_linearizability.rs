@@ -3,7 +3,7 @@
 //! specifications.
 
 use approx_objects::{KmultBoundedMaxRegister, KmultUnboundedMaxRegister};
-use lincheck::monotone::check_maxreg;
+use lincheck::check_maxreg;
 use lincheck::MaxRegHistory;
 use maxreg::{
     AdaptiveMaxRegister, CollectMaxRegister, MaxRegister, TreeMaxRegister, UnboundedMaxRegister,

@@ -52,7 +52,7 @@ fn runtime_and_driver_are_reachable() {
 
 #[test]
 fn lincheck_entry_points_are_reachable() {
-    use dao::lincheck::monotone::{check_counter, check_maxreg};
+    use dao::lincheck::{check_counter, check_maxreg};
     use dao::lincheck::{CounterHistory, Interval, MaxRegHistory, TimedInc, TimedRead, TimedWrite};
 
     let h = CounterHistory {
