@@ -22,7 +22,7 @@
 //! * **kmult** — Algorithm 1 increments/reads at `k = ⌈√n⌉`. Every
 //!   process funnels through the same `switch` bits, so every causal
 //!   past densifies to all `n` processes. The clocks turn into
-//!   pid-indexed arrays and each join is Θ(n) vectorised word maxima:
+//!   pid-indexed `u32` arrays and each join is Θ(n) vectorised maxima:
 //!   linear in `n`, at memory speed. The configs stay at bounded `n`;
 //!   the overhead at `n = 3000` is gated below
 //!   `KMULT_MAX_OVERHEAD`.
@@ -53,10 +53,10 @@ const CLUSTER: usize = 8;
 /// pass stopped being O(1) amortized.
 const CLUSTER_MAX_OVERHEAD: f64 = 10.0;
 
-/// The `kmult` overhead gate, at `n = KMULT_GATED_N`. Dense clock
-/// arrays measure 13× there (24× at `--smoke` sizes); hash-map clocks
-/// measured 222× (397×), so falling back to per-component lookups
-/// fails it.
+/// The `kmult` overhead gate, at `n = KMULT_GATED_N`. Dense `u32`
+/// clock arrays measure 8.2× there (13.6× at `--smoke` sizes), `u64`
+/// arrays 13× (24×); hash-map clocks measured 222× (397×), so falling
+/// back to per-component lookups fails it.
 const KMULT_MAX_OVERHEAD: f64 = 60.0;
 const KMULT_GATED_N: usize = 3_000;
 

@@ -40,7 +40,15 @@
 //!   proportional to communication, not to `n`; once it covers at
 //!   least half the pids up to its largest, it becomes a pid-indexed
 //!   array, no larger than the pairs, and a join is an element-wise
-//!   `max` the compiler vectorises.
+//!   `max` the compiler vectorises. Components are `u32`, four to an
+//!   SSE2 register (a `u64` max has no SSE2 compare and runs two lanes
+//!   wide, emulated); a clock that would pass `u32::MAX` panics.
+//!
+//! Per-process state (clocks, operation windows) lives in pid-indexed
+//! vectors pre-sized from [`RunMeta::n`]; per-object state is keyed by
+//! address under a one-multiply hasher; candidate racy pairs go to a
+//! reused buffer. Apart from the copy-on-write clone when a process
+//! learns something after publishing, an access allocates nothing.
 //!
 //! The cost is set by the workload's *communication density*: a process
 //! that reads an object pays only when it has not heard of the write
@@ -50,7 +58,8 @@
 //! every causal past to all `n` processes; each join is then Θ(n) word
 //! maxima, linear but at memory speed rather than one hash probe per
 //! component. EXP-ANALYSIS measures both regimes (kmult at `n = 3000`:
-//! 222× pass overhead with hash-map clocks, 13× with dense arrays).
+//! 222× pass overhead with hash-map clocks, 13.3× with `u64` arrays,
+//! 8.2× with `u32` arrays).
 //!
 //! ## Ticket cross-audit
 //!
@@ -67,6 +76,7 @@
 use super::{AnalysisPass, RunMeta, Violation};
 use crate::trace::{Access, AccessKind, TraceEvent};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A vector clock: missing entries are zero. Shared with the
@@ -82,12 +92,17 @@ use std::sync::Arc;
 /// join is then an element-wise `max` with no lookups. A dense clock
 /// always keeps `len ≤ 2 · nonzero`, and falls back to pairs if a far
 /// pid or a zeroed component would break that.
+///
+/// Components and pids are stored as `u32`: a dense join is then a
+/// 4-lane `max` per SSE2 register rather than an emulated 2-lane `u64`
+/// one. The interface stays `u64`; a component past `u32::MAX` panics
+/// in [`set`](Vc::set) rather than wrapping.
 #[derive(Debug, Clone)]
 pub(crate) enum Vc {
     /// Pid-sorted pairs with nonzero clocks; `2 · len < max_pid + 1`.
-    Sparse(Vec<(usize, u64)>),
+    Sparse(Vec<(u32, u32)>),
     /// Clocks indexed by pid; `len ≤ 2 · nonzero`.
-    Dense(Vec<u64>),
+    Dense(Vec<u32>),
 }
 
 impl Default for Vc {
@@ -96,25 +111,44 @@ impl Default for Vc {
     }
 }
 
+/// `clock` as a stored component of `pid`'s entry. Clocks count events,
+/// so passing `u32::MAX` means a run of more than 4·10⁹ events by one
+/// process: refuse it loudly instead of wrapping into a smaller clock.
+fn narrow(pid: usize, clock: u64) -> u32 {
+    u32::try_from(clock)
+        .unwrap_or_else(|_| panic!("vector-clock component of pid {pid} is {clock}, past u32::MAX"))
+}
+
+/// `pid` as a stored pid (the coop backend already requires pids to fit
+/// in `u32`).
+fn narrow_pid(pid: usize) -> u32 {
+    u32::try_from(pid).unwrap_or_else(|_| panic!("pid {pid} does not fit a vector clock"))
+}
+
 impl Vc {
     pub(crate) fn get(&self, pid: usize) -> u64 {
-        match self {
-            Vc::Sparse(v) => v
-                .binary_search_by_key(&pid, |&(p, _)| p)
+        let c = match self {
+            Vc::Sparse(v) => u32::try_from(pid)
+                .ok()
+                .and_then(|p| v.binary_search_by_key(&p, |&(q, _)| q).ok())
                 .map_or(0, |i| v[i].1),
             Vc::Dense(v) => v.get(pid).copied().unwrap_or(0),
-        }
+        };
+        u64::from(c)
     }
 
+    /// Set `pid`'s component. Panics, naming the pid and the value, if
+    /// `clock` does not fit `u32`.
     pub(crate) fn set(&mut self, pid: usize, clock: u64) {
+        let (p, clock) = (narrow_pid(pid), narrow(pid, clock));
         match self {
-            Vc::Sparse(v) => match v.binary_search_by_key(&pid, |&(p, _)| p) {
+            Vc::Sparse(v) => match v.binary_search_by_key(&p, |&(q, _)| q) {
                 Ok(i) if clock == 0 => {
                     v.remove(i);
                 }
                 Ok(i) => v[i].1 = clock,
                 Err(_) if clock == 0 => return,
-                Err(i) => v.insert(i, (pid, clock)),
+                Err(i) => v.insert(i, (p, clock)),
             },
             Vc::Dense(v) if pid < v.len() => {
                 v[pid] = clock;
@@ -170,9 +204,8 @@ impl Vc {
             if 2 * live >= v.len() {
                 return;
             }
-            let pairs = v
-                .iter()
-                .enumerate()
+            let pairs = (0u32..)
+                .zip(v.iter())
                 .filter(|&(_, &c)| c != 0)
                 .map(|(p, &c)| (p, c))
                 .collect();
@@ -180,10 +213,11 @@ impl Vc {
         }
         if let Vc::Sparse(v) = self {
             if let Some(&(max_pid, _)) = v.last() {
+                let max_pid = max_pid as usize;
                 if 2 * v.len() > max_pid {
                     let mut d = vec![0; max_pid + 1];
                     for &(p, c) in v.iter() {
-                        d[p] = c;
+                        d[p as usize] = c;
                     }
                     *self = Vc::Dense(d);
                 }
@@ -195,14 +229,15 @@ impl Vc {
 /// Raise the dense clock `d` by the pairs `s`, growing it to cover
 /// `s`'s largest pid. Returns whether it grew: only then can the
 /// density rule have broken.
-fn raise(d: &mut Vec<u64>, s: &[(usize, u64)]) -> bool {
-    let need = s.last().map_or(0, |&(p, _)| p + 1);
+fn raise(d: &mut Vec<u32>, s: &[(u32, u32)]) -> bool {
+    let need = s.last().map_or(0, |&(p, _)| p as usize + 1);
     let grew = need > d.len();
     if grew {
         d.resize(need, 0);
     }
     for &(p, c) in s {
-        d[p] = d[p].max(c);
+        let x = &mut d[p as usize];
+        *x = (*x).max(c);
     }
     grew
 }
@@ -210,7 +245,7 @@ fn raise(d: &mut Vec<u64>, s: &[(usize, u64)]) -> bool {
 /// Sparse join: raise the shared components in place, then merge `b`'s
 /// new pids in from the back, so an already-heard clock costs no
 /// allocation.
-fn merge(a: &mut Vec<(usize, u64)>, b: &[(usize, u64)]) {
+fn merge(a: &mut Vec<(u32, u32)>, b: &[(u32, u32)]) {
     let mut fresh = 0;
     let mut i = 0;
     for &(p, c) in b {
@@ -246,8 +281,8 @@ fn merge(a: &mut Vec<(usize, u64)>, b: &[(usize, u64)]) {
 /// An epoch: one access, as `(pid, clock, seq)`.
 #[derive(Debug, Clone, Copy)]
 struct Epoch {
-    pid: usize,
-    clock: u64,
+    pid: u32,
+    clock: u32,
     seq: u64,
 }
 
@@ -260,10 +295,12 @@ struct ProcClock {
     /// Strictly greater than every component of this process ever
     /// published (publishes tick past their own epoch), so reads after a
     /// write are distinguishable from the write itself.
-    own: u64,
+    own: u32,
 }
 
 impl Default for ProcClock {
+    /// Cloned to fill the per-process table, so every fresh process
+    /// aliases one empty clock.
     fn default() -> Self {
         ProcClock {
             base: Arc::new(Vc::default()),
@@ -276,12 +313,25 @@ impl Default for ProcClock {
 
 impl ProcClock {
     /// This process's view of `pid`'s clock (`me` is this process).
-    fn get(&self, me: usize, pid: usize) -> u64 {
+    fn get(&self, me: u32, pid: u32) -> u32 {
         if pid == me {
             self.own
         } else {
-            self.base.get(pid)
+            // Every stored component fits `u32` (see `narrow`).
+            self.base.get(pid as usize) as u32
         }
+    }
+
+    /// Advance `own` by one and return the new value. Panics, naming
+    /// the pid and the value, rather than wrap past `u32::MAX`.
+    fn tick(&mut self, pid: u32) -> u32 {
+        self.own = self.own.checked_add(1).unwrap_or_else(|| {
+            panic!(
+                "happens-before clock of pid {pid} is {}, past u32::MAX",
+                u64::from(self.own) + 1
+            )
+        });
+        self.own
     }
 }
 
@@ -298,8 +348,32 @@ struct ObjState {
     /// The last nontrivial primitive (what a reads-from / coherence
     /// join transfers).
     last_write: Option<WriteSnap>,
-    /// Reads since the last write (cleared by the next write).
+    /// Reads since the last write (cleared by the next write, keeping
+    /// its capacity).
     reads: Vec<Epoch>,
+}
+
+/// Object ids are addresses: a multiply spreads their aligned low bits
+/// over the word, and the rotation hands the well-mixed high half to
+/// the table's bucket index. One multiply per probe, where SipHash
+/// costs a few dozen cycles.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("object ids hash as usize")
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = (addr as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
 }
 
 /// One conflicting access pair not ordered by happens-before (minus its
@@ -325,12 +399,26 @@ struct OpWindow {
     open_inv: Option<u64>,
 }
 
+/// `v[i]`, first growing `v` to cover `i`: per-process tables are
+/// pre-sized from [`RunMeta::n`], but a pid past it (or a pass fed
+/// events without an attach) gets fresh state rather than a panic.
+fn slot<T: Clone + Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
+}
+
 /// The happens-before pass. See the [module docs](self).
 pub struct HappensBefore {
-    /// Per-process vector clocks.
-    clocks: HashMap<usize, ProcClock>,
-    objects: HashMap<usize, ObjState>,
-    windows: HashMap<usize, OpWindow>,
+    /// Per-process vector clocks, indexed by pid.
+    clocks: Vec<ProcClock>,
+    objects: HashMap<usize, ObjState, BuildHasherDefault<AddrHasher>>,
+    /// Per-process operation windows, indexed by pid.
+    windows: Vec<OpWindow>,
+    /// The current access's candidate racy pairs; reused across
+    /// accesses, so collecting them allocates only while it grows.
+    pairs: Vec<(Epoch, AccessKind)>,
     racy: Vec<RacyPair>,
     racy_total: u64,
     max_racy: usize,
@@ -345,9 +433,10 @@ impl HappensBefore {
     /// A fresh pass.
     pub fn new() -> Self {
         HappensBefore {
-            clocks: HashMap::new(),
-            objects: HashMap::new(),
-            windows: HashMap::new(),
+            clocks: Vec::new(),
+            objects: HashMap::default(),
+            windows: Vec::new(),
+            pairs: Vec::new(),
             racy: Vec::new(),
             racy_total: 0,
             max_racy: 64,
@@ -381,24 +470,17 @@ impl HappensBefore {
         }
     }
 
-    fn flag_racy(&mut self, first: Epoch, first_kind: AccessKind, second: &Access) {
-        self.racy_total += 1;
-        if self.racy.len() < self.max_racy {
-            self.racy.push(RacyPair {
-                first_seq: first.seq,
-                second_seq: second.seq,
-                obj: second.obj,
-                kinds: (first_kind, second.kind),
-            });
-        }
+    fn window(&mut self, pid: usize) -> &mut OpWindow {
+        slot(&mut self.windows, pid)
     }
 
     fn on_access(&mut self, a: &Access) {
         // Disjoint field borrows: the object entry and the clock entry
-        // are mutated together; racy pairs are collected locally and
-        // flagged after both borrows end.
+        // are mutated together, candidate pairs go to the reused
+        // scratch buffer and are flagged after both borrows end.
+        let me = narrow_pid(a.pid);
         let obj = self.objects.entry(a.obj).or_default();
-        let vc = self.clocks.entry(a.pid).or_default();
+        let vc = slot(&mut self.clocks, a.pid);
 
         // Is the last write outside this process's causal past? One
         // epoch probe decides: components circulate solely through
@@ -408,12 +490,13 @@ impl HappensBefore {
         let unseen_write = obj
             .last_write
             .as_ref()
-            .is_some_and(|w| w.epoch.pid != a.pid && vc.get(a.pid, w.epoch.pid) < w.epoch.clock);
+            .is_some_and(|w| w.epoch.pid != me && vc.get(me, w.epoch.pid) < w.epoch.clock);
 
         // Conflicting predecessors not ordered before this access by the
         // edges built so far (program order, earlier reads-from,
         // coherence) — checked before this access's own edges are added.
-        let mut pairs: Vec<(Epoch, AccessKind)> = Vec::new();
+        let pairs = &mut self.pairs;
+        pairs.clear();
         if unseen_write {
             pairs.push((
                 obj.last_write.as_ref().expect("guarded").epoch,
@@ -422,7 +505,7 @@ impl HappensBefore {
         }
         if a.kind.is_nontrivial() {
             for &r in &obj.reads {
-                if r.pid != a.pid && vc.get(a.pid, r.pid) < r.clock {
+                if r.pid != me && vc.get(me, r.pid) < r.clock {
                     pairs.push((r, AccessKind::Read));
                 }
             }
@@ -438,16 +521,16 @@ impl HappensBefore {
             let w = obj.last_write.as_ref().expect("guarded");
             let base = Arc::make_mut(&mut vc.base);
             base.join(&w.base);
-            if base.get(w.epoch.pid) < w.epoch.clock {
-                base.set(w.epoch.pid, w.epoch.clock);
+            let writer = w.epoch.pid as usize;
+            if base.get(writer) < u64::from(w.epoch.clock) {
+                base.set(writer, u64::from(w.epoch.clock));
             }
         }
 
         if a.kind.is_nontrivial() {
-            let clock = vc.own + 1;
             let epoch = Epoch {
-                pid: a.pid,
-                clock,
+                pid: me,
+                clock: vc.tick(me),
                 seq: a.seq,
             };
             obj.last_write = Some(WriteSnap {
@@ -456,18 +539,26 @@ impl HappensBefore {
             });
             // Tick past the published epoch: later events by this
             // process must not be covered by joins of this snapshot.
-            vc.own = clock + 1;
+            vc.tick(me);
             obj.reads.clear();
         } else {
             obj.reads.push(Epoch {
-                pid: a.pid,
+                pid: me,
                 clock: vc.own,
                 seq: a.seq,
             });
         }
 
-        for (first, first_kind) in pairs {
-            self.flag_racy(first, first_kind, a);
+        for &(first, first_kind) in &self.pairs {
+            self.racy_total += 1;
+            if self.racy.len() < self.max_racy {
+                self.racy.push(RacyPair {
+                    first_seq: first.seq,
+                    second_seq: a.seq,
+                    obj: a.obj,
+                    kinds: (first_kind, a.kind),
+                });
+            }
         }
     }
 
@@ -504,6 +595,11 @@ impl AnalysisPass for HappensBefore {
 
     fn on_attach(&mut self, meta: &RunMeta) {
         self.coop = meta.coop;
+        // Pre-size the per-process tables to pids `0..n`.
+        if let Some(last) = meta.n.checked_sub(1) {
+            slot(&mut self.clocks, last);
+            slot(&mut self.windows, last);
+        }
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
@@ -517,8 +613,7 @@ impl AnalysisPass for HappensBefore {
             } => {
                 let label = kind.label();
                 self.check_ticket(pid, seq, inv, "invocation");
-                let w = self.windows.entry(pid).or_default();
-                if let Some(open) = w.open_inv {
+                if let Some(open) = self.window(pid).open_inv {
                     self.violate(
                         pid,
                         seq,
@@ -529,7 +624,7 @@ impl AnalysisPass for HappensBefore {
                         ),
                     );
                 }
-                let w = self.windows.entry(pid).or_default();
+                let w = self.window(pid);
                 w.open_inv = Some(inv);
                 if let Some(last) = w.last_resp {
                     if inv <= last {
@@ -552,7 +647,7 @@ impl AnalysisPass for HappensBefore {
             } => {
                 let label = kind.label();
                 self.check_ticket(pid, seq, resp, "response");
-                let w = self.windows.entry(pid).or_default();
+                let w = self.window(pid);
                 let open = w.open_inv.take();
                 w.last_resp = Some(resp);
                 match open {
@@ -582,7 +677,7 @@ impl AnalysisPass for HappensBefore {
             TraceEvent::Crash { pid, .. } => {
                 // The in-flight operation never completes; close the
                 // window so later (impossible) events are flagged.
-                self.windows.entry(pid).or_default().open_inv = None;
+                self.window(pid).open_inv = None;
             }
             TraceEvent::Grant { .. } => {}
         }
@@ -621,6 +716,9 @@ mod tests {
     /// Pids the checks probe: every pid the generated operations touch.
     const PROBE: std::ops::Range<usize> = 0..240;
 
+    /// The largest component a clock stores.
+    const TOP: u64 = u32::MAX as u64;
+
     /// `vc` agrees with `r` on every probed pid and keeps its
     /// representation rule.
     fn check(vc: &Vc, r: &RefVc) {
@@ -636,7 +734,7 @@ mod tests {
                 assert!(v.windows(2).all(|w| w[0].0 < w[1].0), "unsorted {v:?}");
                 assert!(v.iter().all(|&(_, c)| c != 0), "zero entry {v:?}");
                 if let Some(&(max_pid, _)) = v.last() {
-                    assert!(2 * v.len() < max_pid + 1, "should be dense: {v:?}");
+                    assert!(2 * v.len() < max_pid as usize + 1, "should be dense: {v:?}");
                 }
             }
             // Checked after every operation, so in particular on the one
@@ -662,10 +760,12 @@ mod tests {
                 refs[a].0.insert(pid, value);
             }
             1 => {
-                // A contiguous run of components: builds dense clocks.
+                // A contiguous run of nonzero components: builds dense
+                // clocks.
+                let value = (value + 1).min(TOP);
                 for p in pid..pid + 12 {
-                    clocks[a].set(p, value + 1);
-                    refs[a].0.insert(p, value + 1);
+                    clocks[a].set(p, value);
+                    refs[a].0.insert(p, value);
                 }
             }
             _ => {
@@ -683,12 +783,19 @@ mod tests {
         /// The adaptive clock ≡ the hash-map reference over random
         /// `set`/`join` sequences: pid gaps (a far cluster at 200..),
         /// zeroed components, runs that push clocks across the switch
-        /// threshold and back, and joins between every pairing of
-        /// representations.
+        /// threshold and back, joins between every pairing of
+        /// representations, and components at the top of the `u32`
+        /// range, where a narrowing or signed-compare bug would show.
         #[test]
         fn vc_matches_a_hash_map_reference(
             ops in prop::collection::vec(
-                (0u8..4, 0usize..4, 0usize..4, prop_oneof![0usize..24, 200usize..216], 0u64..6),
+                (
+                    0u8..4,
+                    0usize..4,
+                    0usize..4,
+                    prop_oneof![0usize..24, 200usize..216],
+                    prop_oneof![0u64..6, (TOP - 5)..=TOP, (1u64 << 31) - 2..(1u64 << 31) + 2],
+                ),
                 1..80,
             ),
         ) {
@@ -756,6 +863,54 @@ mod tests {
             r.0.insert(p, 0);
         }
         check(&a, &r);
+    }
+
+    #[test]
+    #[should_panic(expected = "pid 7 is 4294967296, past u32::MAX")]
+    fn a_component_past_u32_max_panics_naming_the_pid() {
+        let mut vc = Vc::default();
+        vc.set(7, TOP);
+        assert_eq!(vc.get(7), TOP);
+        vc.set(7, TOP + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pid 3 is 4294967296, past u32::MAX")]
+    fn an_own_tick_past_u32_max_panics_naming_the_pid() {
+        let mut c = ProcClock {
+            own: u32::MAX - 1,
+            ..ProcClock::default()
+        };
+        assert_eq!(c.tick(3), u32::MAX);
+        c.tick(3);
+    }
+
+    #[test]
+    fn pids_beyond_run_meta_n_grow_the_state() {
+        let mut h = HappensBefore::new();
+        h.on_attach(&meta_coop()); // n = 4
+        h.on_event(&acc(0, 4, 0xA, AccessKind::Write));
+        h.on_event(&acc(1, 9, 0xA, AccessKind::Read));
+        h.on_event(&TraceEvent::Crash { seq: 2, pid: 12 });
+        h.on_event(&TraceEvent::Invoke {
+            seq: 3,
+            pid: 20,
+            kind: OpKind::Custom {
+                label: "a",
+                arg: 0,
+                ret: 0,
+            },
+            inv: 0,
+        });
+        assert_eq!(h.racy_total(), 1);
+        assert!(h.clocks.len() >= 10 && h.windows.len() >= 21);
+        assert!(h.finish().is_empty());
+
+        // Without an attach the tables start empty and grow the same way.
+        let mut h = HappensBefore::new();
+        h.on_event(&acc(0, 2, 0xA, AccessKind::Write));
+        h.on_event(&acc(1, 0, 0xA, AccessKind::Read));
+        assert_eq!(h.racy_total(), 1);
     }
 
     fn meta_coop() -> RunMeta {
