@@ -54,9 +54,8 @@ const CLUSTER: usize = 8;
 const CLUSTER_MAX_OVERHEAD: f64 = 10.0;
 
 /// The `kmult` overhead gate, at `n = KMULT_GATED_N`. Dense `u32`
-/// clock arrays measure 8.2× there (13.6× at `--smoke` sizes), `u64`
-/// arrays 13× (24×); hash-map clocks measured 222× (397×), so falling
-/// back to per-component lookups fails it.
+/// clock arrays measure 8.2× there, `u64` arrays 13×; hash-map clocks
+/// measured 222×, so falling back to per-component lookups fails it.
 const KMULT_MAX_OVERHEAD: f64 = 60.0;
 const KMULT_GATED_N: usize = 3_000;
 
@@ -200,21 +199,20 @@ fn main() {
     // (workload, n, ops_per_proc) — each measured off then on. The
     // cluster workload scales to 10⁵ (bounded communication); kmult
     // stays at bounded n (dense communication — a happens-before join
-    // is Θ(n) word maxima there; see module docs).
+    // is Θ(n) word maxima there; see module docs). `--smoke` runs a
+    // strict subset of the full grid's rows (same n, same ops per
+    // process), so `bench_diff` against the committed full-grid
+    // baseline compares like with like.
+    let full: [(&'static str, usize, u64); 4] = [
+        ("cluster", 10_000, 4),
+        ("cluster", 100_000, 4),
+        ("kmult", 1_000, 4),
+        ("kmult", 3_000, 4),
+    ];
     let configs: Vec<(&'static str, usize, u64)> = if smoke {
-        vec![
-            ("cluster", 10_000, 2),
-            ("cluster", 100_000, 2),
-            ("kmult", 1_000, 2),
-            ("kmult", 3_000, 2),
-        ]
+        full.into_iter().filter(|&(_, n, _)| n != 100_000).collect()
     } else {
-        vec![
-            ("cluster", 10_000, 4),
-            ("cluster", 100_000, 4),
-            ("kmult", 1_000, 4),
-            ("kmult", 3_000, 4),
-        ]
+        full.to_vec()
     };
 
     let mut samples = Vec::new();

@@ -1,27 +1,29 @@
 //! [`LinearizabilityPass`]: the [`OnlineChecker`] packaged as an
-//! [`smr::analysis::AnalysisPass`], so any driver run — and every
+//! [`smr::analysis::AnalysisPass`], so any gated driver run — and every
 //! `smr::explore` replay — checks linearizability inline, with
 //! findings surfaced (and ddmin-minimized by the explorer) like every
 //! other pass finding.
 //!
-//! # Event-order robustness
+//! # The stream it reads
 //!
-//! The checker consumes operations in timestamp order. On the coop
-//! backend the trace stream already *is* timestamp-ordered (one
-//! controller thread emits every event), but on the thread backend a
-//! worker can draw its ticket and lose the CPU before emitting, so
-//! nearby events may appear slightly out of order in the stream. The
-//! pass therefore runs every event through a small bounded reorder
-//! buffer (a min-heap on `(timestamp, phase, seq)`), only releasing
-//! an event to the checker once [`WINDOW`] newer events are buffered
-//! behind it. If the stream raced further than that — a released
-//! event still lands behind the checker's watermark, or a completion
-//! arrives whose announcement was lost beyond the window — the pass
-//! goes *inert* for the rest of the run instead of risking a false
-//! report: linearizability checking on the thread backend is
-//! best-effort by nature, and a silent skip is strictly better than a
-//! spurious violation. On gated coop runs the buffer is invisible and
-//! the check is exact.
+//! The pass reads operation boundaries only (`Invoke`, `Complete`,
+//! `Crash`) and declines the step class, so a run checked by this pass
+//! alone builds no `Grant`/`Access` events. The runtime draws each
+//! boundary's ticket and emits the event in one critical section, so
+//! on every backend the boundaries arrive in ticket order, and the
+//! pass applies each one to the checker as it
+//! arrives: an announcement at its invocation ticket, a completion at
+//! its response ticket, a crash closing the process's open operation
+//! on the spot. An event that regresses the checker's watermark, or a
+//! completion with no open announcement, means the runtime broke its
+//! ordering contract; either is a finding naming the pid and the trace
+//! seq, never a silent skip.
+//!
+//! Free-running runtimes emit no operation boundaries, so a pass
+//! attached to one checks nothing. It says so through
+//! [`summary`](AnalysisPass::summary) and counts
+//! [`LINCHECK_INERT`](obs::names::LINCHECK_INERT) once per attach, so a
+//! run summary never mistakes it for a clean verdict.
 //!
 //! `Custom` operations are outside both checkable vocabularies and
 //! are skipped silently; a `Write` in counter mode (or an `Inc` in
@@ -31,49 +33,6 @@
 use crate::online::{CounterSpec, OnlineChecker};
 use smr::analysis::{AnalysisPass, RunMeta, Violation};
 use smr::{OpKind, OpRecord, TraceEvent};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// How many newer events must pile up behind a buffered event before
-/// it is released to the checker. Large enough to cover the thread
-/// backend's ticket-draw-to-emit race window many times over; small
-/// enough that the buffer's memory footprint is negligible.
-const WINDOW: usize = 256;
-
-/// One buffered trace event, ordered by `(ts, phase, seq)`. Phase 0 =
-/// announcement, 1 = completion, 2 = crash (keyed at the largest
-/// timestamp seen, so it drains after everything it could have
-/// interrupted).
-struct Buffered {
-    ts: u64,
-    phase: u8,
-    seq: u64,
-    pid: usize,
-    kind: Option<OpKind>,
-}
-
-impl Buffered {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.ts, self.phase, self.seq)
-    }
-}
-
-impl PartialEq for Buffered {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Buffered {}
-impl PartialOrd for Buffered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Buffered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 enum Mode {
     Counter(CounterSpec),
@@ -94,26 +53,13 @@ impl Mode {
 pub struct LinearizabilityPass {
     mode: Mode,
     checker: OnlineChecker,
-    heap: BinaryHeap<Reverse<Buffered>>,
-    /// `(ts, phase)` of the last event released to the checker.
-    released: (u64, u8),
-    /// Largest timestamp seen on any buffered event (crash key).
-    max_ts: u64,
     /// First finding, sticky.
     found: Option<Violation>,
-    /// The stream outran the reorder window: stay silent forever.
+    /// Attached to a free-running runtime: no boundaries will arrive.
     inert: bool,
-    /// Checkable events accepted before the pass went inert (or so
-    /// far, if it never did) — what "after N events" in
-    /// [`summary`](AnalysisPass::summary) reports.
-    events_seen: u64,
-    /// Counts inert *transitions* (at most one per attach), so a batch
-    /// of explorer replays shows how many silently dropped coverage.
+    /// Counts attaches to free-running runtimes, so a batch of runs
+    /// shows how many were never checked.
     inert_transitions: &'static obs::Counter,
-    /// Reorder-buffer depth sampled at every buffered event: p99 near
-    /// [`WINDOW`] means the stream is racing the buffer and inertness
-    /// is close.
-    occupancy: &'static obs::Histogram,
 }
 
 impl LinearizabilityPass {
@@ -142,91 +88,19 @@ impl LinearizabilityPass {
         LinearizabilityPass {
             mode,
             checker,
-            heap: BinaryHeap::with_capacity(WINDOW + 1),
-            released: (0, 0),
-            max_ts: 0,
             found: None,
             inert: false,
-            events_seen: 0,
             inert_transitions: obs::counter(obs::names::SUB_LINCHECK, obs::names::LINCHECK_INERT),
-            occupancy: obs::histogram(
-                obs::names::SUB_LINCHECK,
-                obs::names::LINCHECK_REORDER_OCCUPANCY,
-                2,
-                1,
-            ),
         }
     }
 
-    fn active(&self) -> bool {
-        !self.inert && self.found.is_none()
-    }
-
-    /// Transition to the inert state (idempotent per attach). Counted
-    /// so the degradation is visible in a metrics snapshot even though
-    /// it produces no violation.
-    fn go_inert(&mut self) {
-        if !self.inert {
-            self.inert = true;
-            self.inert_transitions.inc();
-        }
-    }
-
-    /// Pop the oldest buffered event and apply it to the checker.
-    fn release_one(&mut self) {
-        let Some(Reverse(b)) = self.heap.pop() else {
-            return;
-        };
-        if !self.active() {
-            return;
-        }
-        if b.phase == 2 {
-            self.checker.crash(b.pid);
-            return;
-        }
-        let key = (b.ts, b.phase);
-        if key < self.released {
-            // An event older than something already released surfaced:
-            // the stream raced beyond the reorder window.
-            self.go_inert();
-            return;
-        }
-        let kind = b.kind.expect("announce/complete events carry a kind");
-        let rec = if b.phase == 0 {
-            OpRecord {
-                pid: b.pid,
-                kind,
-                inv: b.ts,
-                resp: None,
-                steps: 0,
-            }
-        } else {
-            if !self.checker.has_open(b.pid) {
-                // The matching announcement was lost beyond the window
-                // (or the pass attached mid-run): go inert rather than
-                // let the checker misread this as a fresh operation.
-                self.go_inert();
-                return;
-            }
-            OpRecord {
-                pid: b.pid,
-                kind,
-                // Unused: the checker takes the invocation from the
-                // open announcement it just matched.
-                inv: 0,
-                resp: Some(b.ts),
-                steps: 0,
-            }
-        };
-        if let Err(v) = self.checker.push(&rec) {
-            self.found = Some(Violation {
-                pass: "linearizability",
-                pid: Some(b.pid),
-                seq: Some(b.seq),
-                message: v.message,
-            });
-        }
-        self.released = key;
+    fn report(&mut self, pid: usize, seq: u64, message: String) {
+        self.found = Some(Violation {
+            pass: "linearizability",
+            pid: Some(pid),
+            seq: Some(seq),
+            message,
+        });
     }
 }
 
@@ -235,92 +109,78 @@ impl AnalysisPass for LinearizabilityPass {
         "linearizability"
     }
 
-    fn on_attach(&mut self, _meta: &RunMeta) {
+    fn on_attach(&mut self, meta: &RunMeta) {
         self.checker = self.mode.build();
-        self.heap.clear();
-        self.released = (0, 0);
-        self.max_ts = 0;
         self.found = None;
-        self.inert = false;
-        self.events_seen = 0;
+        self.inert = !meta.gated;
+        if self.inert {
+            self.inert_transitions.inc();
+        }
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
-        if !self.active() {
+        if self.inert || self.found.is_some() {
             return;
         }
-        match *ev {
+        // A completion's `inv` is unused: the checker takes the
+        // invocation from the open announcement it matches.
+        let (seq, pid, kind, inv, resp) = match *ev {
             TraceEvent::Invoke {
                 seq,
                 pid,
                 kind,
                 inv,
-            } => {
-                self.max_ts = self.max_ts.max(inv);
-                if matches!(kind, OpKind::Custom { .. }) {
-                    return; // outside both vocabularies: skipped silently
-                }
-                self.heap.push(Reverse(Buffered {
-                    ts: inv,
-                    phase: 0,
-                    seq,
-                    pid,
-                    kind: Some(kind),
-                }));
-            }
+            } => (seq, pid, kind, inv, None),
             TraceEvent::Complete {
                 seq,
                 pid,
                 kind,
                 resp,
-            } => {
-                self.max_ts = self.max_ts.max(resp);
-                if matches!(kind, OpKind::Custom { .. }) {
-                    return;
-                }
-                self.heap.push(Reverse(Buffered {
-                    ts: resp,
-                    phase: 1,
-                    seq,
-                    pid,
-                    kind: Some(kind),
-                }));
-            }
-            TraceEvent::Crash { seq, pid } => {
-                self.heap.push(Reverse(Buffered {
-                    ts: self.max_ts,
-                    phase: 2,
-                    seq,
-                    pid,
-                    kind: None,
-                }));
-            }
+            } => (seq, pid, kind, 0, Some(resp)),
+            TraceEvent::Crash { pid, .. } => return self.checker.crash(pid),
             TraceEvent::Access(_) | TraceEvent::Grant { .. } => return,
+        };
+        if matches!(kind, OpKind::Custom { .. }) {
+            return; // outside both vocabularies: skipped silently
         }
-        self.events_seen += 1;
-        self.occupancy.record(self.heap.len() as u64);
-        while self.heap.len() > WINDOW {
-            self.release_one();
+        if let Some(resp) = resp {
+            if !self.checker.has_open(pid) {
+                return self.report(
+                    pid,
+                    seq,
+                    format!(
+                        "completion at timestamp {resp} has no open announcement: \
+                         the runtime emitted an unannounced completion"
+                    ),
+                );
+            }
+        }
+        let rec = OpRecord {
+            pid,
+            kind,
+            inv,
+            resp,
+            steps: 0,
+        };
+        if let Err(v) = self.checker.push(&rec) {
+            self.report(pid, seq, v.message);
         }
     }
 
+    fn reads_steps(&self) -> bool {
+        false
+    }
+
     fn finish(&mut self) -> Vec<Violation> {
-        while !self.heap.is_empty() {
-            self.release_one();
-        }
         self.found.clone().into_iter().collect()
     }
 
     fn summary(&self) -> Option<String> {
-        if self.inert {
-            Some(format!(
-                "pass went inert after {} events: the stream outran the \
-                 reorder window; later operations were not checked",
-                self.events_seen
-            ))
-        } else {
-            None
-        }
+        self.inert.then(|| {
+            "nothing was checked: the runtime is free-running, and \
+             free-running runtimes emit no operation boundaries"
+                .to_string()
+        })
     }
 }
 
@@ -371,15 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn small_reorders_inside_the_window_are_absorbed() {
+    fn an_out_of_order_event_is_a_finding() {
         let mut p = LinearizabilityPass::counter(1);
-        // Invoke/complete pairs delivered slightly shuffled, as a
-        // thread-backend stream might: the heap restores ticket order.
-        p.on_event(&complete(0, 0, OpKind::Inc { amount: 1 }, 1));
-        p.on_event(&invoke(1, 0, OpKind::Inc { amount: 1 }, 0));
-        p.on_event(&complete(2, 1, OpKind::Read { returned: 1 }, 3));
-        p.on_event(&invoke(3, 1, OpKind::Read { returned: 0 }, 2));
-        assert!(p.finish().is_empty());
+        p.on_event(&invoke(0, 0, OpKind::Inc { amount: 1 }, 0));
+        p.on_event(&complete(1, 0, OpKind::Inc { amount: 1 }, 2));
+        // Ticket 1 arrives after ticket 2: the runtime broke the order
+        // it guarantees, and the pass says so instead of reordering.
+        p.on_event(&invoke(2, 1, OpKind::Read { returned: 0 }, 1));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].pid, Some(1));
+        assert_eq!(found[0].seq, Some(2));
+        assert!(found[0].message.contains("out of order"), "{}", found[0]);
     }
 
     #[test]
@@ -413,24 +276,43 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_completion_degrades_silently() {
+    fn an_unannounced_completion_is_a_finding() {
+        let mut p = LinearizabilityPass::counter(1);
+        p.on_event(&complete(0, 3, OpKind::Read { returned: 5 }, 3));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].pid, Some(3));
+        assert_eq!(found[0].seq, Some(0));
+        assert!(
+            found[0].message.contains("no open announcement"),
+            "{}",
+            found[0]
+        );
+        assert!(p.summary().is_none(), "a finding, not a degraded run");
+    }
+
+    #[test]
+    fn a_free_running_attach_checks_nothing_and_says_so() {
         obs::set_enabled(true);
         let mut p = LinearizabilityPass::counter(1);
         let inert_before = p.inert_transitions.get();
-        p.on_event(&complete(0, 0, OpKind::Read { returned: 5 }, 3));
-        assert!(p.summary().is_none(), "still buffered: not yet inert");
-        assert!(p.finish().is_empty(), "inert, not a false positive");
-        // The degradation is silent in the verdict, but not invisible:
-        // the transition is counted and the summary names it.
-        assert_eq!(p.inert_transitions.get(), inert_before + 1);
-        let s = p.summary().expect("inert pass reports a summary");
-        assert!(s.contains("inert after 1 events"), "got: {s}");
-        // A fresh attach clears the degraded state.
-        p.on_attach(&RunMeta {
+        let free = RunMeta {
             n: 1,
-            gated: true,
+            gated: false,
             coop: true,
+        };
+        p.on_attach(&free);
+        assert_eq!(p.inert_transitions.get(), inert_before + 1);
+        let s = p.summary().expect("an inert pass reports a summary");
+        assert!(s.contains("nothing was checked"), "got: {s}");
+        p.on_event(&complete(0, 0, OpKind::Read { returned: 5 }, 3));
+        assert!(p.finish().is_empty(), "inert: no verdict either way");
+        // A gated attach checks again.
+        p.on_attach(&RunMeta {
+            gated: true,
+            ..free
         });
         assert!(p.summary().is_none());
+        assert_eq!(p.inert_transitions.get(), inert_before + 1);
     }
 }

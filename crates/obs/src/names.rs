@@ -40,7 +40,6 @@ pub const EXPLORE_FRONTIER_DEPTH: &str = "frontier_depth_entries";
 pub const LINCHECK_PUSHES: &str = "pushes_total";
 pub const LINCHECK_FOLDS: &str = "fold_compactions_total";
 pub const LINCHECK_RETAINED: &str = "retained_entries";
-pub const LINCHECK_REORDER_OCCUPANCY: &str = "reorder_occupancy_entries";
 pub const LINCHECK_INERT: &str = "inert_transitions_total";
 
 // sketch.

@@ -26,6 +26,8 @@
 //! like checker rejections). When no analyzer is attached and the trace
 //! log is off, the event stream costs one relaxed load per primitive —
 //! zero-cost when disabled (measured: `exp_analysis`, BENCH_analysis).
+//! The same holds for the step class alone when no attached pass
+//! [reads steps](AnalysisPass::reads_steps).
 
 mod commute;
 mod conformance;
@@ -101,14 +103,25 @@ pub trait AnalysisPass: Send {
     /// Called for every trace event, in stream order.
     fn on_event(&mut self, ev: &TraceEvent);
 
+    /// `false` if the pass ignores the step class
+    /// ([`TraceEvent::Grant`], [`TraceEvent::Access`]). When no
+    /// attached pass reads steps and the trace log is off, the runtime
+    /// builds no step events at all. The default is the safe answer: a
+    /// pass, or a wrapper that does not forward this method, receives
+    /// every event.
+    fn reads_steps(&self) -> bool {
+        true
+    }
+
     /// Close the pass and report its findings. Called once.
     fn finish(&mut self) -> Vec<Violation>;
 
     /// An optional one-line operational notice about how the pass ran —
     /// degraded modes, dropped coverage — as opposed to `finish`'s
-    /// *verdicts*. A pass that silently stopped checking (e.g. a
-    /// reorder buffer outrun) reports it here so run summaries can
-    /// distinguish "checked clean" from "stopped checking".
+    /// *verdicts*. A pass that checked nothing (e.g. a linearizability
+    /// pass attached to a free-running runtime, which emits no
+    /// operation boundaries) reports it here so run summaries can
+    /// distinguish "checked clean" from "never checked".
     fn summary(&self) -> Option<String> {
         None
     }
@@ -138,17 +151,26 @@ struct Inner {
 /// ```
 pub struct Analyzer {
     inner: Mutex<Inner>,
+    /// Some pass reads the step class; folded once at construction.
+    reads_steps: bool,
 }
 
 impl Analyzer {
     /// An analyzer over the given passes.
     pub fn new(passes: Vec<Box<dyn AnalysisPass>>) -> Arc<Analyzer> {
         Arc::new(Analyzer {
+            reads_steps: passes.iter().any(|p| p.reads_steps()),
             inner: Mutex::new(Inner {
                 passes,
                 report: None,
             }),
         })
+    }
+
+    /// `true` if any pass reads the step class
+    /// ([`AnalysisPass::reads_steps`]).
+    pub(crate) fn reads_steps(&self) -> bool {
+        self.reads_steps
     }
 
     /// The standard bundle: poll discipline, access-kind conformance,
@@ -460,5 +482,151 @@ mod mutant_tests {
         drop(d);
         assert!(rt.analysis().unwrap().finish().is_empty());
         assert!(commutation_audit(factory, &CommuteConfig::default()).is_empty());
+    }
+}
+
+/// The event-class split: step events ([`TraceEvent::Grant`],
+/// [`TraceEvent::Access`]) are built only when the log is on or an
+/// attached pass reads them; boundaries always reach the sink.
+#[cfg(test)]
+mod event_class_tests {
+    use super::*;
+    use crate::history::OpSpec;
+    use crate::runtime::Runtime;
+    use crate::task::{OpTask, Poll};
+    use crate::{Driver, ProcCtx, Register};
+    use std::collections::BTreeSet;
+
+    /// Records every event it receives.
+    struct Recorder {
+        reads_steps: bool,
+        seen: Arc<Mutex<Vec<TraceEvent>>>,
+    }
+
+    impl AnalysisPass for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn on_event(&mut self, ev: &TraceEvent) {
+            self.seen.lock().push(*ev);
+        }
+        fn reads_steps(&self) -> bool {
+            self.reads_steps
+        }
+        fn finish(&mut self) -> Vec<Violation> {
+            Vec::new()
+        }
+    }
+
+    fn recorder(reads_steps: bool) -> (Box<dyn AnalysisPass>, Arc<Mutex<Vec<TraceEvent>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let pass = Recorder {
+            reads_steps,
+            seen: seen.clone(),
+        };
+        (Box::new(pass), seen)
+    }
+
+    /// Two writes to one register.
+    struct TwoWrites {
+        reg: Arc<Register>,
+        polls: u32,
+    }
+
+    impl OpTask for TwoWrites {
+        fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+            self.polls += 1;
+            match self.polls {
+                1 => Poll::Pending,
+                2 => {
+                    self.reg.write(ctx, 1);
+                    Poll::Pending
+                }
+                _ => {
+                    self.reg.write(ctx, 2);
+                    Poll::Ready(0)
+                }
+            }
+        }
+    }
+
+    /// Run two processes of [`TwoWrites`] under `analyzer`, crashing
+    /// pid 1 after its first step; returns the trace log, drained before
+    /// teardown (empty unless `log`).
+    fn run(analyzer: Arc<Analyzer>, log: bool) -> Vec<TraceEvent> {
+        let rt = Runtime::coop(2);
+        if log {
+            rt.enable_tracing();
+        }
+        rt.attach_analysis(analyzer);
+        let mut d = Driver::coop(rt.clone());
+        let reg = Arc::new(Register::new(0));
+        for pid in 0..2 {
+            let task = TwoWrites {
+                reg: reg.clone(),
+                polls: 0,
+            };
+            d.submit_task(pid, OpSpec::custom("two-writes", 0), task);
+        }
+        let _ = d.step(1);
+        d.crash(1);
+        d.run_solo(0);
+        rt.take_trace()
+    }
+
+    fn classes(events: &[TraceEvent]) -> BTreeSet<&'static str> {
+        events
+            .iter()
+            .map(|ev| match ev {
+                TraceEvent::Access(_) => "access",
+                TraceEvent::Invoke { .. } => "invoke",
+                TraceEvent::Complete { .. } => "complete",
+                TraceEvent::Grant { .. } => "grant",
+                TraceEvent::Crash { .. } => "crash",
+            })
+            .collect()
+    }
+
+    const EVERY_CLASS: [&str; 5] = ["access", "complete", "crash", "grant", "invoke"];
+    const BOUNDARIES: [&str; 3] = ["complete", "crash", "invoke"];
+
+    #[test]
+    fn passes_that_decline_steps_receive_no_step_events() {
+        let (a, seen_a) = recorder(false);
+        let (b, seen_b) = recorder(false);
+        let analyzer = Analyzer::new(vec![a, b]);
+        assert!(!analyzer.reads_steps());
+        run(analyzer, false);
+        for seen in [seen_a, seen_b] {
+            assert_eq!(classes(&seen.lock()), BTreeSet::from(BOUNDARIES));
+        }
+    }
+
+    #[test]
+    fn the_trace_log_still_records_every_event() {
+        let (pass, _) = recorder(false);
+        let log = run(Analyzer::new(vec![pass]), true);
+        assert_eq!(classes(&log), BTreeSet::from(EVERY_CLASS));
+        // 3 grants and 3 accesses (pid 0 twice, pid 1 once before its
+        // crash), 2 invocations, 1 completion, 1 crash.
+        assert_eq!(log.len(), 10, "{log:?}");
+    }
+
+    #[test]
+    fn the_standard_bundle_sees_every_event_class() {
+        assert!(Analyzer::standard().reads_steps());
+        // The standard passes plus a recorder that declines steps: the
+        // standard passes keep the step class on, so the recorder (fed
+        // the same stream) sees every class.
+        let (pass, seen) = recorder(false);
+        let analyzer = Analyzer::new(vec![
+            Box::new(PollDiscipline::new()),
+            Box::new(Conformance::new()),
+            Box::new(HappensBefore::new()),
+            pass,
+        ]);
+        run(analyzer.clone(), false);
+        assert_eq!(classes(&seen.lock()), BTreeSet::from(EVERY_CLASS));
+        assert!(analyzer.finish().is_empty());
     }
 }

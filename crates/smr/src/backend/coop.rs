@@ -486,16 +486,16 @@ impl CoopBackend {
     fn advance(&mut self, pid: usize) {
         debug_assert!(self.parked_data[pid].is_none());
         while let Some((spec, data, poll, dropper)) = self.pop_queued(pid) {
-            let inv = self.runtime.ticket();
+            let announced = spec.kind(0);
+            let inv = self.runtime.invoke(pid, announced);
             let steps_at_inv = self.runtime.steps_of(pid);
             if self.gated {
                 // Free-running mode sends no invocation announcements,
                 // mirroring the thread backend (nothing can be
                 // suspended, so pending records would be pure noise).
-                self.runtime.trace_invoke(pid, spec.kind(0), inv);
                 self.events.push_back(OpRecord {
                     pid,
-                    kind: spec.kind(0),
+                    kind: announced,
                     inv,
                     resp: None,
                     steps: steps_at_inv,
@@ -514,13 +514,11 @@ impl CoopBackend {
             );
             match polled {
                 Poll::Ready(ret) => {
-                    let resp = self.runtime.ticket();
-                    if self.gated {
-                        self.runtime.trace_complete(pid, spec.kind(ret), resp);
-                    }
+                    let kind = spec.kind(ret);
+                    let resp = self.runtime.complete(pid, kind);
                     self.events.push_back(OpRecord {
                         pid,
-                        kind: spec.kind(ret),
+                        kind,
                         inv,
                         resp: Some(resp),
                         steps: self.runtime.steps_of(pid) - steps_at_inv,
@@ -545,13 +543,11 @@ impl CoopBackend {
     fn complete_parked(&mut self, pid: usize, data: NonNull<u8>, ret: u128) {
         self.parked_data[pid] = None;
         let spec = self.parked_spec[pid];
-        let resp = self.runtime.ticket();
-        if self.gated {
-            self.runtime.trace_complete(pid, spec.kind(ret), resp);
-        }
+        let kind = spec.kind(ret);
+        let resp = self.runtime.complete(pid, kind);
         self.events.push_back(OpRecord {
             pid,
-            kind: spec.kind(ret),
+            kind,
             inv: self.parked_inv[pid],
             resp: Some(resp),
             steps: self.runtime.steps_of(pid) - self.parked_steps_at_inv[pid],

@@ -150,7 +150,11 @@ fn worker_loop(runtime: Arc<Runtime>, pid: usize, rx: Receiver<Cmd>, tx: Sender<
                 if let Some(gate) = &runtime.gate {
                     gate.op_started(pid);
                 }
-                let inv = runtime.ticket();
+                // Drawing the invocation ticket also emits the `Invoke`
+                // trace event (gated mode), in ticket order with every
+                // other worker's boundaries.
+                let announced = spec.kind(0);
+                let inv = runtime.invoke(pid, announced);
                 let steps_before = ctx.steps_taken();
                 // Gated mode only: announce the invocation before
                 // executing, so if this process crashes or is suspended
@@ -165,10 +169,9 @@ fn worker_loop(runtime: Arc<Runtime>, pid: usize, rx: Receiver<Cmd>, tx: Sender<
                 // suspend processes, so the announcement would be pure
                 // channel overhead there.
                 if runtime.gate.is_some() {
-                    runtime.trace_invoke(pid, spec.kind(0), inv);
                     let _ = tx.send(OpRecord {
                         pid,
-                        kind: spec.kind(0),
+                        kind: announced,
                         inv,
                         resp: None,
                         steps: steps_before,
@@ -185,16 +188,14 @@ fn worker_loop(runtime: Arc<Runtime>, pid: usize, rx: Receiver<Cmd>, tx: Sender<
                     },
                 };
                 let steps = ctx.steps_taken() - steps_before;
-                let resp = runtime.ticket();
-                if runtime.gate.is_some() {
-                    runtime.trace_complete(pid, spec.kind(ret), resp);
-                }
+                let kind = spec.kind(ret);
+                let resp = runtime.complete(pid, kind);
                 // The event must be in the channel before `op_finished` is
                 // signalled, so a controller that observes completion can
                 // always drain the corresponding record.
                 let _ = tx.send(OpRecord {
                     pid,
-                    kind: spec.kind(ret),
+                    kind,
                     inv,
                     resp: Some(resp),
                     steps,

@@ -58,7 +58,7 @@ impl ProcCtx {
     /// the grant); the coop backend records it controller-side.
     ///
     /// The primitive reports its observed effect through
-    /// [`StepPermit::record`]; when no trace consumer is active
+    /// [`StepPermit::record`]; when no consumer reads steps
     /// ([`StepPermit::traced`] is `false`) the recording — and any state
     /// digesting done to feed it — must be skipped, keeping untraced
     /// runs at native cost.
@@ -95,12 +95,12 @@ pub(crate) struct StepPermit<'a> {
 }
 
 impl StepPermit<'_> {
-    /// `true` if a trace consumer (log or analysis sink) is active and
-    /// the primitive should digest its before/after states for
-    /// [`record`](StepPermit::record).
+    /// `true` if step events are built (the trace log is on, or an
+    /// attached pass reads steps) and the primitive should digest its
+    /// before/after states for [`record`](StepPermit::record).
     #[inline]
     pub(crate) fn traced(&self) -> bool {
-        self.runtime.trace_active()
+        self.runtime.trace_steps()
     }
 
     /// Record the primitive's observed effect: the object's state digest

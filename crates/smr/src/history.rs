@@ -148,9 +148,8 @@ pub struct OpRecord {
     pub pid: usize,
     /// What the operation did (typed — see [`OpKind`]).
     pub kind: OpKind,
-    /// Logical invocation timestamp (from [`Runtime::ticket`]).
-    ///
-    /// [`Runtime::ticket`]: crate::Runtime::ticket
+    /// Logical invocation timestamp: a runtime-wide ticket, drawn with
+    /// the operation's `Invoke` trace event.
     pub inv: u64,
     /// Logical response timestamp; `None` for operations that never
     /// completed (crashed / suspended processes).

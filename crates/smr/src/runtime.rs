@@ -77,7 +77,6 @@ pub struct Runtime {
     /// cooperatively on the controller thread (`Driver::coop`).
     coop: bool,
     steps: StepCounters,
-    ticket: AtomicU64,
     tracer: Tracer,
     pub(crate) gate: Option<Gate>,
 }
@@ -142,7 +141,6 @@ impl Runtime {
                         .collect(),
                 )
             },
-            ticket: AtomicU64::new(0),
             tracer: Tracer::default(),
             gate: if mode == Mode::Gated && !coop {
                 Some(Gate::new(n))
@@ -204,11 +202,6 @@ impl Runtime {
         self.steps.reset();
     }
 
-    /// A fresh logical timestamp; strictly increasing across the runtime.
-    pub fn ticket(&self) -> u64 {
-        self.ticket.fetch_add(1, Ordering::SeqCst)
-    }
-
     pub(crate) fn count_step(&self, pid: usize) {
         // relaxed-ok: a per-process monotonic counter; cross-thread reads
         // happen only at controller stable points (gate/quiesce provide
@@ -216,11 +209,12 @@ impl Runtime {
         self.steps.at(pid).fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `true` while any trace consumer (log or analysis sink) is active
-    /// — the flag primitives consult before digesting object states.
+    /// `true` while step events are built (the trace log is on, or an
+    /// attached pass reads steps) — the flag primitives consult before
+    /// digesting object states.
     #[inline]
-    pub(crate) fn trace_active(&self) -> bool {
-        self.tracer.is_active()
+    pub(crate) fn trace_steps(&self) -> bool {
+        self.tracer.steps_active()
     }
 
     pub(crate) fn trace_access(
@@ -231,7 +225,7 @@ impl Runtime {
         before: u64,
         after: u64,
     ) {
-        self.tracer.emit(|seq| {
+        self.tracer.emit_step(|seq| {
             TraceEvent::Access(Access {
                 seq,
                 pid,
@@ -243,26 +237,35 @@ impl Runtime {
         });
     }
 
-    pub(crate) fn trace_invoke(&self, pid: usize, kind: OpKind, inv: u64) {
-        self.tracer.emit(|seq| TraceEvent::Invoke {
-            seq,
-            pid,
-            kind,
-            inv,
-        });
-    }
-
-    pub(crate) fn trace_complete(&self, pid: usize, kind: OpKind, resp: u64) {
-        self.tracer.emit(|seq| TraceEvent::Complete {
-            seq,
-            pid,
-            kind,
-            resp,
-        });
-    }
-
     pub(crate) fn trace_grant(&self, pid: usize) {
-        self.tracer.emit(|seq| TraceEvent::Grant { seq, pid });
+        self.tracer.emit_step(|seq| TraceEvent::Grant { seq, pid });
+    }
+
+    /// Open an operation of `pid`: draw its invocation ticket (a fresh
+    /// logical timestamp, strictly increasing across the runtime) and,
+    /// on a gated runtime with a trace consumer, emit its
+    /// [`TraceEvent::Invoke`] in the same critical section.
+    pub(crate) fn invoke(&self, pid: usize, kind: OpKind) -> u64 {
+        self.tracer
+            .boundary(self.mode == Mode::Gated, |seq, inv| TraceEvent::Invoke {
+                seq,
+                pid,
+                kind,
+                inv,
+            })
+    }
+
+    /// Close an operation of `pid`: draw its response ticket and, on a
+    /// gated runtime with a trace consumer, emit its
+    /// [`TraceEvent::Complete`] in the same critical section.
+    pub(crate) fn complete(&self, pid: usize, kind: OpKind) -> u64 {
+        self.tracer
+            .boundary(self.mode == Mode::Gated, |seq, resp| TraceEvent::Complete {
+                seq,
+                pid,
+                kind,
+                resp,
+            })
     }
 
     pub(crate) fn trace_crash(&self, pid: usize) {
@@ -362,8 +365,8 @@ mod tests {
     #[test]
     fn tickets_increase() {
         let rt = Runtime::free_running(1);
-        let a = rt.ticket();
-        let b = rt.ticket();
+        let a = rt.invoke(0, OpKind::Read { returned: 0 });
+        let b = rt.complete(0, OpKind::Read { returned: 0 });
         assert!(b > a);
     }
 

@@ -3,11 +3,14 @@
 //! lower-bound experiments (awareness-set computation per Definition
 //! III.2/III.3) and by the online analysis passes ([`crate::analysis`]).
 //!
-//! Tracing is designed for *gated* executions, where steps are already
-//! fully serialized; the stream order then equals the execution order.
-//! It works in free-running mode too, but the order is then merely one
-//! valid linear order of the (SeqCst) primitives, and controller-side
-//! events ([`TraceEvent::Grant`], [`TraceEvent::Crash`]) are absent.
+//! # Two event classes
+//!
+//! * **Boundaries** — [`TraceEvent::Invoke`], [`TraceEvent::Complete`]
+//!   and [`TraceEvent::Crash`]: where operations start, end and die.
+//!   Gated runtimes emit them (free-running runtimes emit no
+//!   `Invoke`/`Complete`, and cannot crash a process).
+//! * **Steps** — [`TraceEvent::Grant`] and [`TraceEvent::Access`]: one
+//!   pair per primitive application, the bulk of the stream.
 //!
 //! The stream has two consumers, independently switchable:
 //!
@@ -19,8 +22,24 @@
 //!   into the attached [`Analyzer`](crate::analysis::Analyzer) as they
 //!   happen.
 //!
-//! With neither active, emission is a single relaxed load and nothing
-//! else — tracing is zero-cost when off.
+//! Boundaries are built whenever a consumer is active. Steps are built
+//! only when something reads them: the log is on, or the sink holds a
+//! pass whose [`reads_steps`](crate::analysis::AnalysisPass::reads_steps)
+//! is `true`. An analyzer of boundary-only passes (the linearizability
+//! pass) therefore costs one relaxed load per primitive, the same as no
+//! consumer at all.
+//!
+//! # Order
+//!
+//! A boundary's ticket (its logical timestamp) is drawn by the tracer
+//! itself. While a consumer is active, the draw and the emission happen
+//! under one lock, so boundaries appear in the stream in ticket order
+//! on every backend — on the thread backend too, where workers reach
+//! their boundaries concurrently. Step events are serialized by the
+//! gate (thread backend) or the controller (coop): in a gated run the
+//! whole stream follows the execution order. In free-running mode the
+//! step order is merely one valid linear order of the (SeqCst)
+//! primitives, and controller-side events are absent.
 
 use crate::analysis::Analyzer;
 use crate::history::OpKind;
@@ -166,30 +185,69 @@ pub fn accesses(trace: &[TraceEvent]) -> Vec<Access> {
     trace.iter().filter_map(|e| e.access()).copied().collect()
 }
 
-/// The trace collector owned by a [`Runtime`](crate::Runtime).
+/// The trace collector owned by a [`Runtime`](crate::Runtime), and the
+/// runtime's logical clock (boundary tickets).
 #[derive(Debug, Default)]
 pub(crate) struct Tracer {
-    /// `log_enabled || (sink attached && !sealed)` — the one flag the
-    /// emission fast path loads.
+    /// `log_enabled || (sink attached && !sealed)` — the flag the
+    /// boundary-class fast path loads.
     active: AtomicBool,
+    /// `log_enabled || (sink live && it reads steps)` — the flag the
+    /// step-class fast path loads.
+    steps: AtomicBool,
     log_enabled: AtomicBool,
     sealed: AtomicBool,
     seq: AtomicU64,
+    ticket: AtomicU64,
+    /// Held across a boundary's ticket draw and its emission.
+    order: Mutex<()>,
     log: Mutex<Vec<TraceEvent>>,
     sink: OnceLock<Arc<Analyzer>>,
 }
 
 impl Tracer {
-    /// Emit one event: `build` receives the allocated sequence number.
-    /// The closure runs only when a consumer is active.
+    /// Emit one boundary-class event: `build` receives the allocated
+    /// sequence number. The closure runs only when a consumer is active.
     #[inline]
     pub(crate) fn emit(&self, build: impl FnOnce(u64) -> TraceEvent) {
         // relaxed-ok: a pure on/off flag; emission order is serialized by
         // the gate / coop controller, not by this load.
-        if !self.active.load(Ordering::Relaxed) {
-            return;
+        if self.active.load(Ordering::Relaxed) {
+            self.emit_slow(build);
         }
-        self.emit_slow(build);
+    }
+
+    /// Emit one step-class event ([`TraceEvent::Grant`],
+    /// [`TraceEvent::Access`]). The closure runs only when the log is
+    /// on or an attached pass reads steps.
+    #[inline]
+    pub(crate) fn emit_step(&self, build: impl FnOnce(u64) -> TraceEvent) {
+        // relaxed-ok: same on/off flag discipline as in `emit`.
+        if self.steps.load(Ordering::Relaxed) {
+            self.emit_slow(build);
+        }
+    }
+
+    /// Draw the next ticket — a fresh logical timestamp, strictly
+    /// increasing across the runtime — and, if `traced` and a consumer
+    /// is active, emit the boundary event `build(seq, ticket)` in the
+    /// same critical section, so emitted boundaries are in ticket order.
+    #[inline]
+    pub(crate) fn boundary(&self, traced: bool, build: impl FnOnce(u64, u64) -> TraceEvent) -> u64 {
+        // relaxed-ok: on/off flag. A draw that sees it off emits nothing,
+        // so it cannot land out of order among emitted boundaries.
+        if traced && self.active.load(Ordering::Relaxed) {
+            return self.boundary_slow(build);
+        }
+        self.ticket.fetch_add(1, Ordering::SeqCst)
+    }
+
+    #[cold]
+    fn boundary_slow(&self, build: impl FnOnce(u64, u64) -> TraceEvent) -> u64 {
+        let _order = self.order.lock();
+        let ticket = self.ticket.fetch_add(1, Ordering::SeqCst);
+        self.emit_slow(|seq| build(seq, ticket));
+        ticket
     }
 
     #[cold]
@@ -206,11 +264,12 @@ impl Tracer {
         }
     }
 
-    /// `true` while any consumer (log or live sink) is active.
+    /// `true` while step events are built: primitives consult it before
+    /// digesting object states.
     #[inline]
-    pub(crate) fn is_active(&self) -> bool {
-        // relaxed-ok: same on/off flag as in `emit`.
-        self.active.load(Ordering::Relaxed)
+    pub(crate) fn steps_active(&self) -> bool {
+        // relaxed-ok: same on/off flag as in `emit_step`.
+        self.steps.load(Ordering::Relaxed)
     }
 
     pub(crate) fn set_enabled(&self, on: bool) {
@@ -245,9 +304,14 @@ impl Tracer {
     }
 
     fn refresh_active(&self) {
-        let sink_live = self.sink.get().is_some() && !self.sealed.load(Ordering::SeqCst);
-        self.active.store(
-            self.log_enabled.load(Ordering::SeqCst) || sink_live,
+        let log = self.log_enabled.load(Ordering::SeqCst);
+        let sink = self
+            .sink
+            .get()
+            .filter(|_| !self.sealed.load(Ordering::SeqCst));
+        self.active.store(log || sink.is_some(), Ordering::SeqCst);
+        self.steps.store(
+            log || sink.is_some_and(|a| a.reads_steps()),
             Ordering::SeqCst,
         );
     }
@@ -271,7 +335,7 @@ mod tests {
     use super::*;
 
     fn access(t: &Tracer, pid: usize, obj: usize, kind: AccessKind) {
-        t.emit(|seq| {
+        t.emit_step(|seq| {
             TraceEvent::Access(Access {
                 seq,
                 pid,
@@ -322,7 +386,7 @@ mod tests {
     fn accesses_filters_controller_events() {
         let t = Tracer::default();
         t.set_enabled(true);
-        t.emit(|seq| TraceEvent::Grant { seq, pid: 0 });
+        t.emit_step(|seq| TraceEvent::Grant { seq, pid: 0 });
         access(&t, 0, 1, AccessKind::Write);
         t.emit(|seq| TraceEvent::Crash { seq, pid: 0 });
         let log = t.take();
